@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import core
 from .core import N, NumericalSemigroup
-from .errors import FullSemigroup, InternalAssertion, NotClosed, NotSpecialGap
+from .errors import FullSemigroup, InternalAssertion, NotSpecialGap
 
 SYMMETRIC = "symmetric"
 PSEUDOSYMMETRIC = "pseudosymmetric"
@@ -57,14 +57,9 @@ def special_gaps(s: NumericalSemigroup) -> frozenset[int]:
     if s.m == 1:
         raise FullSemigroup("the full semigroup has no special gaps")
     by_pf = frozenset(x for x in pseudo_frobenius(s) if s.contains(2 * x))
-    by_closure = set()
-    for x in s.gaps:
-        try:
-            core.from_gaps(s.gap_set - {x})
-        except NotClosed:
-            continue
-        by_closure.add(x)
-    if by_pf != frozenset(by_closure):
+    gm, f = s.gap_mask, s.frobenius
+    by_closure = frozenset(x for x in s.gaps if core._complement_closed(gm & ~(1 << x), f))
+    if by_pf != by_closure:
         raise InternalAssertion(
             f"special-gap criteria disagree on {s}: {sorted(by_pf)} vs {sorted(by_closure)}")
     return by_pf

@@ -10,6 +10,7 @@ only attached when explicitly requested, to keep that guarantee.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -307,7 +308,9 @@ def cmd_verify(args, budget):
 # argument parsing
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The nsg argument parser, built once per process and reused by `main`."""
     p = argparse.ArgumentParser(
         prog="nsg",
         description="numerical semigroups: invariants, irreducible decompositions, "

@@ -144,7 +144,7 @@ class NumericalSemigroup:
         if self.m == other.m:
             merged = tuple(max(a, b) for a, b in zip(self.apery, other.apery))
             return NumericalSemigroup(self.m, merged)
-        return _from_gap_set(self.gap_set | other.gap_set)
+        return _from_gap_mask(self.gap_mask | other.gap_mask)
 
     # ----- Apery sets with respect to arbitrary elements --------------------
 
@@ -192,29 +192,62 @@ class AperySet:
             if w % self.n != i:
                 raise ValueError(f"Apery element {w} not congruent to {i} mod {self.n}")
 
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.elems)
-
 
 #: The full semigroup of non-negative integers.
 N = NumericalSemigroup(1, ())
 
 
-def _from_gap_set(gaps: frozenset[int]) -> NumericalSemigroup:
-    """Build a semigroup from a gap set already known to be valid (no closure check)."""
-    if not gaps:
+# ---------------------------------------------------------------------------
+# gap-set bitmask kernels (bit x set iff x is a gap)
+
+
+def _mask_of(xs) -> int:
+    m = 0
+    for x in xs:
+        m |= 1 << x
+    return m
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _complement_closed(gap_mask: int, top: int) -> bool:
+    """True iff no two non-gaps in [0, top] sum to a gap."""
+    full = (1 << (top + 1)) - 1
+    elems = ~gap_mask & full & ~1  # nonzero elements only
+    e = elems
+    while e:
+        low = e & -e
+        x = low.bit_length() - 1
+        if x + x > top:
+            break
+        if (elems << x) & gap_mask:
+            return False
+        e ^= low
+    return True
+
+
+def _from_gap_mask(gap_mask: int) -> NumericalSemigroup:
+    """Build a semigroup from a gap mask already known to be valid (no closure check)."""
+    if not gap_mask:
         return N
-    top = max(gaps)
-    m = next(x for x in range(1, top + 2) if x not in gaps)
+    t = gap_mask | 1
+    m = (~t & (t + 1)).bit_length() - 1  # least nonzero non-gap
     if m == 1:
         raise ValueError("1 cannot be an element alongside nonempty gaps")
     apery = []
     for i in range(1, m):
         x = i
-        while x in gaps:
+        while gap_mask >> x & 1:
             x += m
         apery.append(x)
-    return NumericalSemigroup(m, tuple(apery))
+    s = NumericalSemigroup(m, tuple(apery))
+    s.__dict__["gap_mask"] = gap_mask  # fill the cached view
+    return s
 
 
 def from_gaps(gaps) -> NumericalSemigroup:
@@ -240,7 +273,7 @@ def from_gaps(gaps) -> NumericalSemigroup:
                 break
             if x + y in gap_set:
                 raise NotClosed((x, y))
-    return _from_gap_set(gap_set)
+    return _from_gap_mask(_mask_of(gap_set))
 
 
 def from_generators(gens) -> NumericalSemigroup:
@@ -299,7 +332,7 @@ def intersect_all(semigroups) -> NumericalSemigroup:
     sgs = list(semigroups)
     if not sgs:
         raise ValueError("need at least one semigroup")
-    union: frozenset[int] = frozenset()
+    union = 0
     for s in sgs:
-        union |= s.gap_set
-    return _from_gap_set(union)
+        union |= s.gap_mask
+    return _from_gap_mask(union)

@@ -5,10 +5,13 @@ Ground truth for "is this a decomposition" is always the direct intersection
 with S, and special gaps a component misses -- are computed alongside and
 compared, never trusted alone.
 
-Enumeration kernels work on gap *bitmasks* (bit x set iff x is a gap); at
-desk scale these fit comfortably in machine words and make closure checks a
-handful of shifts.  All enumerations are metered by a node budget so runaway
-searches fail loudly and reproducibly.
+Irreducible oversemigroups ("atoms") have one source: every irreducible T
+containing S has its Frobenius number among the gaps of S, so the atoms are
+the per-Frobenius irreducible tables for f in gaps(S), filtered by
+containment.  Atoms stay gap *bitmasks* (bit x set iff x is a gap) through
+the cover search; semigroup objects are built only for the chosen witnesses.
+All enumerations are metered by a node budget so runaway searches fail
+loudly and reproducibly.
 """
 
 from __future__ import annotations
@@ -19,14 +22,10 @@ from functools import lru_cache
 
 from . import core
 from .classify import is_irreducible, special_gaps
-from .core import N, NumericalSemigroup
+from .core import N, NumericalSemigroup, _bits, _mask_of
 from .errors import BudgetExceeded, InternalAssertion, NotOversemigroup
 
 DEFAULT_BUDGET = 5_000_000
-
-#: genus above which irreducible oversemigroups are found per Frobenius
-#: number instead of by full oversemigroup recursion.
-_RECURSION_GENUS_LIMIT = 20
 
 
 class Budget:
@@ -49,37 +48,7 @@ def _budget(b) -> Budget:
 
 
 # ---------------------------------------------------------------------------
-# bitmask kernels
-
-
-def _mask_of(xs) -> int:
-    m = 0
-    for x in xs:
-        m |= 1 << x
-    return m
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _complement_closed(gap_mask: int, top: int) -> bool:
-    """True iff no two non-gaps in [0, top] sum to a gap."""
-    full = (1 << (top + 1)) - 1
-    elems = ~gap_mask & full & ~1  # nonzero elements only
-    e = elems
-    while e:
-        low = e & -e
-        x = low.bit_length() - 1
-        if x + x > top:
-            break
-        if (elems << x) & gap_mask:
-            return False
-        e ^= low
-    return True
+# irreducibles with a fixed Frobenius number
 
 
 @lru_cache(maxsize=None)
@@ -90,42 +59,39 @@ def _irreducible_gapmasks_with_frobenius(f: int) -> tuple[int, ...]:
     move: remove a minimal generator g with f/2 < g < f and insert f - g.
     The move preserves Frobenius number and genus, so closure of the
     complement is the only thing to re-check; genus floor(f/2)+1 with
-    Frobenius f is exactly irreducibility.
+    Frobenius f is exactly irreducibility.  The parent's complement is
+    closed and g is not a sum of two of its nonzero elements, so only sums
+    involving the inserted element f - g can land on a gap: one shift.
     """
     if f < 1:
         raise ValueError("Frobenius number must be positive")
     full = (1 << (f + 1)) - 1
-    seed = _mask_of(range(1, f // 2 + 1)) | (1 << f)
+    low_half = (1 << (f // 2 + 1)) - 1  # x with 2x <= f
+    swappable = ((1 << f) - 1) & ~low_half  # g with f/2 < g < f
+    seed = low_half & ~1 | (1 << f)
     seen = {seed}
     stack = [seed]
     while stack:
         gm = stack.pop()
         elems = ~gm & full & ~1
-        # sums of two nonzero elements, trimmed to [0, f]
+        # sums of two nonzero elements (elems * 2**x is elems shifted by x);
+        # bits above f are never gaps
         sums = 0
-        e = elems
+        e = elems & low_half
         while e:
             low = e & -e
-            x = low.bit_length() - 1
-            if 2 * x > f:
-                break
-            sums |= elems << x
+            sums |= elems * low
             e ^= low
-        min_gens = elems & ~sums & full
-        for g in _bits(min_gens):
-            if 2 * g <= f or g >= f:
-                continue
-            cand = (gm & ~(1 << (f - g))) | (1 << g)
-            if cand in seen:
-                continue
-            if _complement_closed(cand, f):
+        gens = elems & ~sums & swappable
+        while gens:
+            g_bit = gens & -gens
+            gens ^= g_bit
+            h = f - (g_bit.bit_length() - 1)
+            cand = gm & ~(1 << h) | g_bit
+            if cand not in seen and not ((elems ^ g_bit | 1 << h) << h) & cand:
                 seen.add(cand)
                 stack.append(cand)
     return tuple(sorted(seen))
-
-
-def _ns_from_gapmask(gm: int) -> NumericalSemigroup:
-    return core._from_gap_set(frozenset(_bits(gm)))
 
 
 def irreducibles_with_frobenius(f: int, budget=None) -> list[NumericalSemigroup]:
@@ -134,7 +100,7 @@ def irreducibles_with_frobenius(f: int, budget=None) -> list[NumericalSemigroup]
     out = []
     for gm in _irreducible_gapmasks_with_frobenius(f):
         b.tick()
-        out.append(_ns_from_gapmask(gm))
+        out.append(core._from_gap_mask(gm))
     out.sort(key=NumericalSemigroup.sort_key)
     return out
 
@@ -148,10 +114,11 @@ def oversemigroups(s: NumericalSemigroup, budget=None) -> list[NumericalSemigrou
 
     Recursion: adjoin one special gap at a time; every oversemigroup is
     reachable this way because for S strictly inside T, max(T \\ S) is a
-    special gap of S lying in T.
+    special gap of S lying in T.  The atom enumeration does not use this; the
+    tests keep it as an independent oracle for the atoms.
     """
     b = _budget(budget)
-    seen = {s.gap_set: s}
+    seen = {s.gap_mask: s}
     stack = [s]
     while stack:
         cur = stack.pop()
@@ -159,9 +126,9 @@ def oversemigroups(s: NumericalSemigroup, budget=None) -> list[NumericalSemigrou
         if cur.m == 1:
             continue
         for x in special_gaps(cur):
-            g = cur.gap_set - {x}
+            g = cur.gap_mask & ~(1 << x)
             if g not in seen:
-                bigger = core._from_gap_set(g)
+                bigger = core._from_gap_mask(g)
                 seen[g] = bigger
                 stack.append(bigger)
     return sorted(seen.values(), key=NumericalSemigroup.sort_key)
@@ -198,36 +165,37 @@ def miss_set(s: NumericalSemigroup, t: NumericalSemigroup) -> frozenset[int]:
     return frozenset(x for x in special_gaps(s) if not t.contains(x))
 
 
+def _atom_masks(s: NumericalSemigroup, sg_mask: int, b: Budget) -> list[int]:
+    """Gap masks of the irreducible T containing s that miss a special gap.
+
+    T contains s iff gaps(T) lie within gaps(s), so F(T) is a gap of s and T
+    sits in the table for that Frobenius number.  F <= 2g - 1 bounds the
+    tables by the genus.  The budget is ticked once per table entry scanned.
+    """
+    outside = ~s.gap_mask
+    out = []
+    for f in s.gaps:
+        table = _irreducible_gapmasks_with_frobenius(f)
+        b.tick(len(table))
+        out.extend(gm for gm in table if not gm & outside and gm & sg_mask)
+    return out
+
+
 def irreducible_oversemigroups(s: NumericalSemigroup, budget=None) -> list[CoverAtom]:
     """All usable cover atoms: irreducible T containing s with nonempty miss set.
 
-    Two interchangeable strategies: full oversemigroup recursion at small
-    genus, and per-Frobenius irreducible enumeration filtered by containment
-    otherwise (the recursion is hopeless for ordinary semigroups of large
-    multiplicity, while per-gap enumeration stays cheap).
+    The atoms are the per-Frobenius irreducible tables for f in gaps(s),
+    filtered by containment (see `_atom_masks`); `length_spectrum` runs on
+    the same masks without building these objects.
     """
     b = _budget(budget)
     if s.m == 1:
         return []
-    sg = special_gaps(s)
-    candidates: list[NumericalSemigroup] = []
-    if s.genus <= _RECURSION_GENUS_LIMIT:
-        for t in oversemigroups(s, b):
-            if t.m != 1 and is_irreducible(t):
-                candidates.append(t)
-    else:
-        smask = s.gap_mask
-        for f in s.gaps:
-            for gm in _irreducible_gapmasks_with_frobenius(f):
-                b.tick()
-                if gm & ~smask == 0:  # gaps(T) within gaps(S), i.e. T contains S
-                    candidates.append(_ns_from_gapmask(gm))
+    sg_mask = _mask_of(special_gaps(s))
     atoms = []
-    for t in candidates:
-        miss = frozenset(x for x in sg if not t.contains(x))
-        if not miss:
-            continue
-        atoms.append(CoverAtom(t, miss, m_set(s, t)))
+    for gm in _atom_masks(s, sg_mask, b):
+        t = core._from_gap_mask(gm)
+        atoms.append(CoverAtom(t, frozenset(_bits(gm & sg_mask)), m_set(s, t)))
     atoms.sort(key=lambda a: a.T.sort_key())
     return atoms
 
@@ -262,12 +230,41 @@ class DecompositionCheck:
     criteria_agree: bool | None
 
 
+def _others(masks: list[int]) -> list[int]:
+    """For each i, the union of every mask but masks[i] (prefix | suffix)."""
+    k = len(masks)
+    suffix = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+    out = []
+    prefix = 0
+    for i, mk in enumerate(masks):
+        out.append(prefix | suffix[i + 1])
+        prefix |= mk
+    return out
+
+
+def _cover_criteria(masks: list[int], sg_mask: int) -> tuple[bool, bool]:
+    """The special-gap view of a decomposition, from component gap masks.
+
+    Returns (every special gap is missed by some component, every component
+    misses a special gap no other component misses).
+    """
+    misses = [mk & sg_mask for mk in masks]
+    covered = 0
+    for mi in misses:
+        covered |= mi
+    privates = all(mi & ~rest for mi, rest in zip(misses, _others(misses)))
+    return covered == sg_mask, privates
+
+
 def is_decomposition(s: NumericalSemigroup, components) -> DecompositionCheck:
     """Verdict on S = T_1 n ... n T_k, by direct intersection.
 
     Irredundancy is checked by recomputing the intersection with each
-    component dropped.  The special-gap cover criterion is evaluated as a
-    cross-check and any disagreement is surfaced in `criteria_agree`.
+    component dropped.  The special-gap cover and private-gap criteria are
+    evaluated as a cross-check and any disagreement is surfaced in
+    `criteria_agree`.  All of it is linear in the number of components.
     """
     comps = tuple(components)
     if not comps:
@@ -278,41 +275,23 @@ def is_decomposition(s: NumericalSemigroup, components) -> DecompositionCheck:
                                       core.intersect_all(comps), None)
     inter = core.intersect_all(comps)
     valid = inter == s
+    masks = [c.gap_mask for c in comps]
+    target = s.gap_mask
 
     criteria_agree: bool | None = None
-    if s.m != 1 and all(s.is_subset(c) for c in comps):
-        sg = special_gaps(s)
-        cover_ok = all(any(not c.contains(x) for c in comps) for x in sg)
+    if s.m != 1 and all(not mk & ~target for mk in masks):  # all oversemigroups
+        cover_ok, cover_irr = _cover_criteria(masks, _mask_of(special_gaps(s)))
         criteria_agree = (cover_ok == valid)
 
     if not valid:
         return DecompositionCheck(INVALID, f"intersection is {inter}, not {s}",
                                   inter, criteria_agree)
 
-    # irredundancy by dropping each component; prefix/suffix gap unions keep
-    # this linear in the number of components
-    k = len(comps)
-    masks = [c.gap_mask for c in comps]
-    prefix = [0] * (k + 1)
-    for i in range(k):
-        prefix[i + 1] = prefix[i] | masks[i]
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
-    target = s.gap_mask
-    redundant = [i for i in range(k) if (prefix[i] | suffix[i + 1]) == target]
+    # irredundancy by dropping each component
+    redundant = [i for i, rest in enumerate(_others(masks)) if rest == target]
 
-    if s.m != 1 and criteria_agree is not None:
+    if criteria_agree is not None:
         # cross-check irredundancy through miss-set privates
-        sg = special_gaps(s)
-        cover_irr = True
-        for i, c in enumerate(comps):
-            has_private = any(
-                not c.contains(x) and all(o.contains(x) for j, o in enumerate(comps) if j != i)
-                for x in sg)
-            if not has_private:
-                cover_irr = False
-                break
         criteria_agree = criteria_agree and (cover_irr == (not redundant))
 
     if redundant:
@@ -347,23 +326,18 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
     if s.m == 1 or is_irreducible(s):
         return LengthSpectrum((1,), {1: Decomposition((s,))})
 
-    atoms = irreducible_oversemigroups(s, b)
-    sg = sorted(special_gaps(s))
-    pos = {x: i for i, x in enumerate(sg)}
-    full = (1 << len(sg)) - 1
+    sg = special_gaps(s)
+    full = _mask_of(sg)
 
-    rep: dict[int, CoverAtom] = {}
-    for a in atoms:
-        key = 0
-        for x in a.miss:
-            key |= 1 << pos[x]
-        if key not in rep or a.T.sort_key() < rep[key].T.sort_key():
-            rep[key] = a
+    # atoms grouped by miss set, kept as the special-gap part of the gap mask
+    by_miss: dict[int, list[int]] = {}
+    for gm in _atom_masks(s, full, b):
+        by_miss.setdefault(gm & full, []).append(gm)
     # canonical order: by smallest missed gap, then lexicographic on the set
     def canon(key):
-        xs = tuple(sorted(sg[i] for i in _bits(key)))
+        xs = tuple(_bits(key))
         return (xs[0], xs)
-    sets = sorted(rep, key=canon)
+    sets = sorted(by_miss, key=canon)
 
     nsets = len(sets)
     suffix_union = [0] * (nsets + 1)
@@ -401,9 +375,13 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
     if lengths[-1] > len(sg):
         raise InternalAssertion("spectrum exceeds special-gap count")
 
+    # each miss set used by a witness is represented by its least atom, so
+    # witnesses do not depend on the order the atoms were enumerated in
+    rep = {j: min(map(core._from_gap_mask, by_miss[sets[j]]), key=NumericalSemigroup.sort_key)
+           for j in set().union(*found.values())}
     witnesses = {}
     for k in lengths:
-        comps = tuple(rep[sets[j]].T for j in found[k])
+        comps = tuple(rep[j] for j in found[k])
         check = is_decomposition(s, comps)
         if check.verdict != VALID_IRREDUNDANT:
             raise InternalAssertion(
@@ -573,7 +551,7 @@ def semigroups_up_to_genus(gmax: int):
         f = s.frobenius
         for g in s.generators:
             if g > f:
-                stack.append(core._from_gap_set(s.gap_set | {g}))
+                stack.append(core._from_gap_mask(s.gap_mask | 1 << g))
 
 
 def minimum_cover(universe, subsets, budget=None):

@@ -193,9 +193,8 @@ def min_ordinary_length(m: int, budget=None) -> tuple[int, Decomposition]:
             if miss:
                 atoms.append((miss, gm))
     size, idxs = minimum_cover(sgset, [a[0] for a in atoms], b)
-    comps = tuple(sorted(
-        (core._from_gap_set(frozenset(x for x in range(1, m) if atoms[i][1] >> x & 1))
-         for i in idxs), key=NumericalSemigroup.sort_key))
+    comps = tuple(sorted((core._from_gap_mask(atoms[i][1]) for i in idxs),
+                         key=NumericalSemigroup.sort_key))
     check = is_decomposition(hm, comps)
     if check.verdict != VALID_IRREDUNDANT:
         raise InternalAssertion(f"minimum cover witness for H({m}) failed: {check.verdict}")

@@ -1,6 +1,9 @@
 """Command-line interface: grammar, exit codes, JSON shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -189,3 +192,41 @@ def test_timing_only_when_requested(capsys):
     assert "seconds" not in doc["stats"]
     code, out, _ = run(capsys, "--json", "--timing", "info", "5,6,7")
     assert "seconds" in json.loads(out)["stats"]
+
+
+# ----- one parser per process -------------------------------------------------
+
+
+def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
+    """main() reuses one argparse parser; options of one request must not leak
+    into the next, so a mixed sequence prints what fresh interpreters print."""
+    monkeypatch.delenv("NSG_BUDGET", raising=False)
+
+    sequence = [
+        ("--json", "ordinary", "10", "--all"),
+        ("--json", "ordinary", "10"),
+        ("--json", "ordinary", "10", "--ell", "2"),
+        ("--json", "--budget", "3", "lengths", "6,13,14,15,16,17"),
+        ("--json", "lengths", "6,13,14,15,16,17"),
+        ("--json", "check", "4", "12", "--msbound"),
+        ("--json", "check", "4", "12", "--interval"),
+        ("--json", "verify-paper", "example-3.6"),
+        ("info", "5,11,13,19"),
+        ("--json", "decompose", "gaps:1,2,4"),
+        ("--json", "check", "4", "12"),  # usage error from argparse
+    ]
+    in_process = []
+    for argv in sequence:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        in_process.append((code, out.out))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, got in zip(sequence, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "nsg.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert got == (fresh.returncode, fresh.stdout), argv

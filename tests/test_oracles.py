@@ -6,13 +6,17 @@ symmetry -- and compares them with the optimized library code.  Slow but
 exhaustive over small ranges.
 """
 
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 
-from nsg import (Budget, classify, irreducible_oversemigroups,
-                 irreducibles_with_frobenius, is_decomposition, is_irreducible,
+from nsg import (Budget, NotClosed, classify, from_gaps, intersect_all,
+                 irreducible_oversemigroups, irreducibles_with_frobenius,
+                 is_decomposition, is_irreducible, kunz_semigroups,
                  length_spectrum, oversemigroups, semigroups_up_to_genus,
                  special_gaps, N, PSEUDOSYMMETRIC, REDUCIBLE, SYMMETRIC,
                  VALID_IRREDUNDANT)
+from nsg.core import _complement_closed, _mask_of
+from nsg.decompose import _cover_criteria
 
 
 # ----- brute-force primitives ------------------------------------------------
@@ -105,7 +109,108 @@ def bf_spectrum(s, atoms):
     return tuple(sorted(lengths))
 
 
+def bf_swap_tree(f):
+    """Irreducible gap masks with Frobenius f by the swap-move search, with
+    the whole complement re-checked for closure after every move."""
+    full = (1 << (f + 1)) - 1
+    seed = _mask_of(range(1, f // 2 + 1)) | (1 << f)
+    seen = {seed}
+    stack = [seed]
+    while stack:
+        gm = stack.pop()
+        elems = [x for x in range(1, f + 1) if not gm >> x & 1]
+        sums = {x + y for x in elems for y in elems}
+        for g in elems:
+            if 2 * g <= f or g >= f or g in sums:
+                continue
+            cand = (gm & ~(1 << (f - g))) | (1 << g)
+            if cand not in seen and _complement_closed(cand, f):
+                assert cand & ~full == 0
+                seen.add(cand)
+                stack.append(cand)
+    return seen
+
+
+def bf_atoms(s):
+    """Irreducible oversemigroups missing a special gap, by full recursion."""
+    sg = special_gaps(s)
+    return {t.gap_set for t in oversemigroups(s)
+            if t.m != 1 and is_irreducible(t) and t.gap_set & sg}
+
+
+def bf_special_gaps(s):
+    """Gaps x with gaps(S) minus {x} closed, by one from_gaps call per gap."""
+    out = set()
+    for x in s.gaps:
+        try:
+            from_gaps(s.gap_set - {x})
+        except NotClosed:
+            continue
+        out.add(x)
+    return out
+
+
+def bf_cover_criteria(s, comps):
+    """Cover and private-gap criteria by membership tests, quadratic in the
+    number of components: every special gap is missed by some component, and
+    every component misses a special gap that all the others contain."""
+    sg = special_gaps(s)
+    covers = all(any(not c.contains(x) for c in comps) for x in sg)
+    privates = all(
+        any(not c.contains(x) and all(o.contains(x) for j, o in enumerate(comps) if j != i)
+            for x in sg)
+        for i, c in enumerate(comps))
+    return covers, privates
+
+
 # ----- the cross-checks ------------------------------------------------------
+
+
+def test_atoms_vs_oversemigroup_recursion():
+    """The per-Frobenius atom tables find exactly the irreducible
+    oversemigroups that full recursion finds."""
+    pool = chain(semigroups_up_to_genus(8), kunz_semigroups(7, 17))
+    for s in pool:
+        if s.m == 1:
+            continue
+        got = {a.T.gap_set for a in irreducible_oversemigroups(s)}
+        assert got == bf_atoms(s), s
+
+
+def test_special_gaps_vs_from_gaps_per_gap():
+    for s in semigroups_up_to_genus(9):
+        if s.m == 1:
+            continue
+        assert special_gaps(s) == bf_special_gaps(s), s
+        for x in s.gaps:
+            closed = _complement_closed(s.gap_mask & ~(1 << x), s.frobenius)
+            assert closed == (x in special_gaps(s)), (s, x)
+
+
+def test_cover_kernels_vs_quadratic_formulas():
+    """On every subset of at most 4 atoms of each genus <= 6 semigroup, the
+    linear mask kernels give the quadratic formulas' answers, special gaps of
+    the subset's intersection match the per-gap closure test, and
+    is_decomposition's criteria agree with its verdict."""
+    verdicts = Counter()
+    intersections = set()
+    for s in semigroups_up_to_genus(6):
+        if s.m == 1 or is_irreducible(s):
+            continue
+        sg_mask = _mask_of(special_gaps(s))
+        atoms = [a.T for a in irreducible_oversemigroups(s)]
+        for k in range(1, min(4, len(atoms)) + 1):
+            for sub in combinations(atoms, k):
+                masks = [t.gap_mask for t in sub]
+                assert _cover_criteria(masks, sg_mask) == bf_cover_criteria(s, sub), (s, sub)
+                check = is_decomposition(s, sub)
+                assert check.criteria_agree is True, (s, sub)
+                verdicts[check.verdict] += 1
+                intersections.add(intersect_all(sub))
+    assert set(verdicts) == {"valid_irredundant", "valid_redundant", "invalid"}
+    for t in intersections:
+        if t.m != 1:
+            assert special_gaps(t) == bf_special_gaps(t), t
 
 
 def test_irreducibles_with_frobenius_vs_brute_force():
@@ -113,6 +218,12 @@ def test_irreducibles_with_frobenius_vs_brute_force():
         fast = {t.gap_set for t in irreducibles_with_frobenius(f)}
         slow = set(bf_irreducibles_with_frobenius(f))
         assert fast == slow, f"disagreement at Frobenius {f}"
+
+
+def test_irreducible_tables_vs_full_closure_swap_tree():
+    from nsg.decompose import _irreducible_gapmasks_with_frobenius
+    for f in range(1, 51):
+        assert set(_irreducible_gapmasks_with_frobenius(f)) == bf_swap_tree(f), f
 
 
 def test_classification_vs_mirror_property():
