@@ -2,9 +2,11 @@
 
 Exit codes are stable across commands: 0 success, 2 parse/usage error,
 3 expectation mismatch or counterexample found, 4 enumeration budget
-exceeded.  With --json the output is a single object with sorted keys, so
-identical invocations produce byte-identical output; wall-clock timing is
-only attached when explicitly requested, to keep that guarantee.
+exceeded, 5 a result guaranteed by theory failed (`InternalAssertion`,
+`SearchFailed`): a finding to report, not a usage error.  With --json the
+output is a single object with sorted keys, so identical invocations produce
+byte-identical output; wall-clock timing is only attached when explicitly
+requested, to keep that guarantee.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .classify import classify, pseudo_frobenius, special_gaps
 from .core import NumericalSemigroup
 from .decompose import (VALID_IRREDUNDANT, Budget, check_interval, check_msbound,
                         is_decomposition, length_spectrum)
-from .errors import BudgetExceeded, NsgError
+from .errors import BudgetExceeded, InternalAssertion, NsgError, SearchFailed
 
 SCHEMA_VERSION = "1"
 
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 class CliParseError(NsgError):
@@ -376,6 +379,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (InternalAssertion, SearchFailed) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (CliParseError, NsgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,17 +5,19 @@ Ground truth for "is this a decomposition" is always the direct intersection
 with S, and special gaps a component misses -- are computed alongside and
 compared, never trusted alone.
 
-Irreducible oversemigroups ("atoms") have one source: every irreducible T
-containing S has its Frobenius number among the gaps of S, so the atoms are
-the per-Frobenius irreducible tables for f in gaps(S), filtered by
-containment.  Atoms stay gap *bitmasks* (bit x set iff x is a gap) through
-the cover search; semigroup objects are built only for the chosen witnesses.
-All enumerations are metered by a node budget so runaway searches fail
-loudly and reproducibly.
+Irreducible oversemigroups ("atoms") have one source, `_atom_masks`: every
+irreducible T containing S has F(T) among the gaps of S, so the atoms are the
+per-Frobenius irreducible tables for f in gaps(S), filtered by containment.
+They stay gap *bitmasks* (bit x set iff x is a gap): the cover search, the
+agreement-set sweep and `ordinary.min_ordinary_length` read miss sets and
+agreement sets off them and build semigroups only for witnesses and
+violations.  Both sweeps run through `_sweep`.  All enumerations are metered
+by a node budget so runaway searches fail loudly and reproducibly.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -158,6 +160,13 @@ def m_set(s: NumericalSemigroup, t: NumericalSemigroup) -> frozenset[int]:
     return frozenset(i for i in range(1, s.m) if bs[i] == s.apery[i - 1])
 
 
+def _agree_mask(s: NumericalSemigroup) -> int:
+    """Bits a_i - m of s.  For T containing s, coordinate i is in m_set(s, T)
+    iff bit a_i - m is set in T's gap mask: T holds m, so T's Apery minimum
+    at i drops below a_i iff T holds a_i - m."""
+    return _mask_of(a - s.m for a in s.apery)
+
+
 def miss_set(s: NumericalSemigroup, t: NumericalSemigroup) -> frozenset[int]:
     """Special gaps of s that are gaps of t."""
     if not s.is_subset(t):
@@ -185,17 +194,17 @@ def irreducible_oversemigroups(s: NumericalSemigroup, budget=None) -> list[Cover
     """All usable cover atoms: irreducible T containing s with nonempty miss set.
 
     The atoms are the per-Frobenius irreducible tables for f in gaps(s),
-    filtered by containment (see `_atom_masks`); `length_spectrum` runs on
-    the same masks without building these objects.
+    filtered by containment (see `_atom_masks`), with mset read off the mask
+    (see `_agree_mask`); the sweeps and `length_spectrum` use the masks alone.
     """
     b = _budget(budget)
     if s.m == 1:
         return []
     sg_mask = _mask_of(special_gaps(s))
-    atoms = []
-    for gm in _atom_masks(s, sg_mask, b):
-        t = core._from_gap_mask(gm)
-        atoms.append(CoverAtom(t, frozenset(_bits(gm & sg_mask)), m_set(s, t)))
+    agree = _agree_mask(s)
+    atoms = [CoverAtom(core._from_gap_mask(gm), frozenset(_bits(gm & sg_mask)),
+                       frozenset(x % s.m for x in _bits(gm & agree)))
+             for gm in _atom_masks(s, sg_mask, b)]
     atoms.sort(key=lambda a: a.T.sort_key())
     return atoms
 
@@ -432,6 +441,37 @@ def kunz_semigroups(m: int, f_max: int, first: int | None = None):
     yield from place(1)
 
 
+def _shard(args):
+    """Rows (apery, fn(s, budget)) for every s of one a_1 value, and the nodes used."""
+    fn, m, f_max, first, limit = args
+    b = Budget(limit)
+    return [(s.apery, fn(s, b)) for s in kunz_semigroups(m, f_max, first=first)], b.used
+
+
+def _sweep(fn, m: int, f_max: int, budget, threads: int) -> list[tuple]:
+    """Apply fn to every semigroup of multiplicity m with F <= f_max.
+
+    Shards split on a_1.  Each gets a fresh Budget with the full limit; the
+    nodes they used are only added to `budget` afterwards.  At most
+    min(threads, shards, CPUs) worker processes are started, none for one.
+    Rows come back in a_1 order, as a serial run gives them.
+    """
+    b = _budget(budget)
+    jobs = [(fn, m, f_max, a1, b.limit) for a1 in range(m + 1, f_max + m + 1, m)]
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            results = list(ex.map(_shard, jobs))
+    else:
+        results = [_shard(j) for j in jobs]
+    rows = []
+    for shard_rows, used in results:
+        rows.extend(shard_rows)
+        b.used += used
+    return rows
+
+
 @dataclass
 class IntervalReport:
     m: int
@@ -441,45 +481,19 @@ class IntervalReport:
     counterexamples: list[tuple[NumericalSemigroup, tuple[int, ...]]]
 
 
-def _interval_shard(args):
-    m, f_max, first, limit = args
-    b = Budget(limit)
-    census: Counter = Counter()
-    bad = []
-    total = 0
-    for s in kunz_semigroups(m, f_max, first=first):
-        total += 1
-        spec = length_spectrum(s, b)
-        census[spec.lengths] += 1
-        if not spec.is_interval():
-            bad.append((s.apery, spec.lengths))
-    return total, census, sorted(bad), b.used
+def _interval_row(s: NumericalSemigroup, b: Budget):
+    spec = length_spectrum(s, b)
+    return spec.lengths, spec.is_interval()
 
 
 def check_interval(m: int, f_max: int, budget=None, threads: int = 1) -> IntervalReport:
     """Sweep every semigroup of multiplicity m with F <= f_max; report any
     non-interval length spectrum and the census of spectra observed."""
-    limit = budget.limit if isinstance(budget, Budget) else (
-        DEFAULT_BUDGET if budget is None else int(budget))
-    firsts = list(range(m + 1, f_max + m + 1, m))
-    jobs = [(m, f_max, a1, limit) for a1 in firsts]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(_interval_shard, jobs))
-    else:
-        results = [_interval_shard(j) for j in jobs]
-    total = 0
-    census: Counter = Counter()
-    bad = []
-    for t, c, bd, used in results:
-        total += t
-        census.update(c)
-        bad.extend((NumericalSemigroup(m, ap), ls) for ap, ls in bd)
-        if isinstance(budget, Budget):
-            budget.used += used  # accounting only; each shard enforced its own limit
-    bad.sort(key=lambda p: p[0].sort_key())
-    return IntervalReport(m, f_max, total, dict(sorted(census.items())), bad)
+    rows = _sweep(_interval_row, m, f_max, budget, threads)
+    census = Counter(ls for _, (ls, _) in rows)
+    bad = sorted(((NumericalSemigroup(m, ap), ls) for ap, (ls, ok) in rows if not ok),
+                 key=lambda p: p[0].sort_key())
+    return IntervalReport(m, f_max, len(rows), dict(sorted(census.items())), bad)
 
 
 @dataclass
@@ -492,47 +506,32 @@ class MsBoundReport:
     violations: list[tuple]
 
 
-def _msbound_shard(args):
-    m, f_max, first, limit = args
-    b = Budget(limit)
-    checked = 0
+def _msbound_row(s: NumericalSemigroup, b: Budget):
+    """None unless s has m - 1 special gaps; else (max #mset over its atoms,
+    [(apery-or-gaps of T, #mset) for each atom with #mset > m/2])."""
+    sg = special_gaps(s)
+    if len(sg) != s.m - 1:
+        return None
+    agree = _agree_mask(s)
     max_mset = 0
     viol = []
-    for s in kunz_semigroups(m, f_max, first=first):
-        if len(special_gaps(s)) != m - 1:
-            continue
-        checked += 1
-        for atom in irreducible_oversemigroups(s, b):
-            sz = len(atom.mset)
-            max_mset = max(max_mset, sz)
-            if 2 * sz > m:
-                viol.append((s.apery, atom.T.apery if atom.T.m == m else tuple(atom.T.gaps), sz))
-    return checked, max_mset, viol, b.used
+    for gm in _atom_masks(s, _mask_of(sg), b):
+        sz = (gm & agree).bit_count()
+        max_mset = max(max_mset, sz)
+        if 2 * sz > s.m:
+            t = core._from_gap_mask(gm)
+            viol.append((t.apery if t.m == s.m else tuple(t.gaps), sz))
+    return max_mset, viol
 
 
 def check_msbound(m: int, f_max: int, budget=None, threads: int = 1) -> MsBoundReport:
     """For every S with multiplicity m, F <= f_max and a full house of special
     gaps (#SG = m-1), assert #mset(T) <= m/2 over all irreducible T >= S."""
-    limit = budget.limit if isinstance(budget, Budget) else (
-        DEFAULT_BUDGET if budget is None else int(budget))
-    firsts = list(range(m + 1, f_max + m + 1, m))
-    jobs = [(m, f_max, a1, limit) for a1 in firsts]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(_msbound_shard, jobs))
-    else:
-        results = [_msbound_shard(j) for j in jobs]
-    checked = 0
-    max_mset = 0
-    violations = []
-    for c, mm, vs, used in results:
-        checked += c
-        max_mset = max(max_mset, mm)
-        violations.extend(vs)
-        if isinstance(budget, Budget):
-            budget.used += used  # accounting only; each shard enforced its own limit
-    return MsBoundReport(m, f_max, checked, max_mset, sorted(violations))
+    rows = [(ap, r) for ap, r in _sweep(_msbound_row, m, f_max, budget, threads)
+            if r is not None]
+    max_mset = max((r[0] for _, r in rows), default=0)
+    violations = sorted((ap, *v) for ap, r in rows for v in r[1])
+    return MsBoundReport(m, f_max, len(rows), max_mset, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from functools import lru_cache
 from . import core
 from .classify import PSEUDOSYMMETRIC, SYMMETRIC, classify
 from .core import NumericalSemigroup
-from .decompose import (VALID_IRREDUNDANT, Decomposition, _budget,
-                        _irreducible_gapmasks_with_frobenius,
+from .decompose import (VALID_IRREDUNDANT, Decomposition, _atom_masks, _budget,
                         is_decomposition, minimum_cover)
 from .errors import InternalAssertion, OutOfRange, UndefinedValue
 
@@ -177,23 +176,18 @@ def min_ordinary_length(m: int, budget=None) -> tuple[int, Decomposition]:
     """True minimum decomposition length of H(m), by exact minimum cover of
     its special gaps over every irreducible oversemigroup.
 
-    Any irreducible semigroup with Frobenius number below m contains H(m),
-    so the atom pool is simply all irreducibles with F in 1..m-1; the miss
-    sets are their gap sets clipped to [m/2, m-1].
+    The atoms come from `_atom_masks`, as in `length_spectrum`: every
+    irreducible semigroup with Frobenius number below m contains H(m), so
+    they are all of its tables for F in 1..m-1 that miss a special gap; the
+    miss sets are their gap sets clipped to [m/2, m-1].
     """
     b = _budget(budget)
     hm = H(m)
-    sg = special_gaps_of_ordinary(m)
-    atoms: list[tuple[frozenset[int], int]] = []  # (miss set, gap mask)
-    sgset = set(sg)
-    for f in range(1, m):
-        for gm in _irreducible_gapmasks_with_frobenius(f):
-            b.tick()
-            miss = frozenset(x for x in sgset if gm >> x & 1)
-            if miss:
-                atoms.append((miss, gm))
-    size, idxs = minimum_cover(sgset, [a[0] for a in atoms], b)
-    comps = tuple(sorted((core._from_gap_mask(atoms[i][1]) for i in idxs),
+    sg_mask = core._mask_of(special_gaps_of_ordinary(m))
+    atoms = _atom_masks(hm, sg_mask, b)
+    size, idxs = minimum_cover(core._bits(sg_mask),
+                               [core._bits(gm & sg_mask) for gm in atoms], b)
+    comps = tuple(sorted((core._from_gap_mask(atoms[i]) for i in idxs),
                          key=NumericalSemigroup.sort_key))
     check = is_decomposition(hm, comps)
     if check.verdict != VALID_IRREDUNDANT:

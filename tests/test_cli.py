@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from nsg import cli
-from nsg.cli import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE,
+from nsg.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                      CliParseError, parse_semigroup)
+from nsg.errors import InternalAssertion, SearchFailed
 
 
 def run(capsys, *argv):
@@ -76,6 +77,18 @@ def test_info_parse_error_exits_2(capsys):
 def test_info_gcd_error_exits_2(capsys):
     code, out, err = run(capsys, "info", "4,6")
     assert code == EXIT_USAGE and "gcd" in err
+
+
+@pytest.mark.parametrize("exc", [InternalAssertion, SearchFailed])
+def test_theory_violation_exits_5(capsys, monkeypatch, exc):
+    def broken(s, budget=None):
+        raise exc("postcondition failed")
+
+    monkeypatch.setattr(cli, "length_spectrum", broken)
+    code, out, err = run(capsys, "--json", "lengths", "5,6,7")
+    assert code == EXIT_INTERNAL and out == "" and "postcondition failed" in err
+    code, _, _ = run(capsys, "lengths", "5,x")
+    assert code == EXIT_USAGE
 
 
 def test_lengths(capsys):

@@ -141,19 +141,62 @@ def test_check_interval_small():
     assert (3,) not in rep.census  # no multiplicity-4 spectrum is exactly {3}
 
 
+def _assert_threads_match_serial(check, m, f_max):
+    b_serial, b_parallel = Budget(), Budget()
+    serial = check(m, f_max, b_serial)
+    parallel = check(m, f_max, b_parallel, threads=2)
+    assert serial == parallel
+    assert b_serial.used == b_parallel.used > 0
+
+
 def test_check_interval_threads_match_serial():
+    _assert_threads_match_serial(check_interval, 5, 14)
+
+
+def test_check_msbound_threads_match_serial():
+    _assert_threads_match_serial(check_msbound, 6, 20)
+
+
+def test_sweep_workers_capped_by_cpus_and_shards(monkeypatch):
+    """--threads asks for workers, but no more are started than there are
+    CPUs or shards; the fake pool maps serially and starts no process."""
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     serial = check_interval(5, 14)
-    parallel = check_interval(5, 14, threads=2)
-    assert serial.total == parallel.total
-    assert serial.census == parallel.census
-    assert serial.counterexamples == parallel.counterexamples
+    capped = check_interval(5, 14, threads=10**6)
+    assert capped == serial
+    shards = 3  # a_1 in 6, 11, 16
+    cpus = os.cpu_count() or 1
+    assert started == ([min(shards, cpus)] if cpus > 1 else [])
 
 
 def test_check_msbound_small():
-    rep = check_msbound(4, 12)
-    assert rep.violations == []
-    assert rep.checked == 10
-    assert 2 * rep.max_mset <= 4
+    # (semigroups checked, max #mset), as found when every agreement set was
+    # still computed from Apery sets
+    expected = {(4, 12): (10, 2), (5, 30): (181, 2), (6, 24): (113, 3),
+                (7, 22): (30, 3), (8, 22): (44, 4)}
+    for (m, f_max), (checked, max_mset) in expected.items():
+        rep = check_msbound(m, f_max)
+        assert rep.violations == []
+        assert (rep.checked, rep.max_mset) == (checked, max_mset)
+        assert 2 * rep.max_mset <= m
 
 
 def test_semigroups_up_to_genus_counts():
@@ -183,3 +226,11 @@ def test_irreducible_oversemigroups_atoms():
         assert a.miss and a.miss <= sg
         assert a.miss == miss_set(s, a.T)
         assert a.mset == m_set(s, a.T)
+    # the mask-derived agreement set against the Apery-set definition
+    n = 0
+    for m, f_max in ((6, 24), (7, 21), (5, 30)):
+        for s in kunz_semigroups(m, f_max):
+            for a in irreducible_oversemigroups(s):
+                assert a.mset == m_set(s, a.T)
+                n += 1
+    assert n == 13907
