@@ -4,6 +4,8 @@ Irreducibility is decided twice on every call: once from the genus/Frobenius
 count and once from the divisibility order on the Apery set.  The two
 criteria are provably equivalent, so a disagreement means the representation
 is corrupted; we treat it as an internal bug rather than a soft failure.
+Special gaps are decided twice too: as pseudo-Frobenius numbers x with 2x in
+S, and by closure of S u {x} on the m - 1 candidates x = a_i - m.
 """
 
 from __future__ import annotations
@@ -52,13 +54,19 @@ def special_gaps(s: NumericalSemigroup) -> frozenset[int]:
     """Gaps x whose adjunction S u {x} is again additively closed.
 
     Equivalently the pseudo-Frobenius numbers x with 2x in S.  Both criteria
-    are computed and compared on every call.
+    are computed and compared on every call.  S u {x} needs x + m, so the
+    closure test runs only on the m - 1 candidates x = a_i - m.
     """
     if s.m == 1:
         raise FullSemigroup("the full semigroup has no special gaps")
     by_pf = frozenset(x for x in pseudo_frobenius(s) if s.contains(2 * x))
-    gm, f = s.gap_mask, s.frobenius
-    by_closure = frozenset(x for x in s.gaps if core._complement_closed(gm & ~(1 << x), f))
+    gm, full = s.gap_mask, (1 << (s.frobenius + 1)) - 1
+    by_closure = set()
+    for x in core._bits(gm & ~(gm >> s.m)):  # gaps x with x + m in S
+        rest = gm & ~(1 << x)  # gaps of S u {x}
+        # S is closed, so only sums involving x can land on a gap: one shift
+        if not ((~rest & full) << x) & rest:
+            by_closure.add(x)
     if by_pf != by_closure:
         raise InternalAssertion(
             f"special-gap criteria disagree on {s}: {sorted(by_pf)} vs {sorted(by_closure)}")
@@ -123,7 +131,7 @@ def classify(s: NumericalSemigroup) -> IrreducibilityReport:
     # whose gap sets still union to gaps(S); first pair in increasing order.
     t1 = add_special_gap(s, sg[0])
     t2 = add_special_gap(s, sg[1])
-    if t1.gap_set | t2.gap_set != s.gap_set:
+    if t1.gap_mask | t2.gap_mask != s.gap_mask:
         raise InternalAssertion(f"reducibility witness broken for {s}")
     return IrreducibilityReport(REDUCIBLE, f, g, (t1, t2))
 

@@ -5,14 +5,16 @@ the Apery vector a_1..a_{m-1} with respect to m, where a_i is the smallest
 element congruent to i mod m.  Gap sets and generating sets are derived
 views.  Membership, inclusion and intersection all reduce to coordinatewise
 arithmetic on the Apery vector, which is why this representation is canonical
-here.
+here.  `from_generators` finds it by shortest paths mod m; gap sets go
+through one linear bitmask builder and one closure kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from heapq import heappop, heappush
+from math import gcd, inf
 
 from .errors import LimitExceeded, NotClosed, NotCofinite, NotElement
 
@@ -91,10 +93,7 @@ class NumericalSemigroup:
     @cached_property
     def gap_mask(self) -> int:
         """Gap set as a bitmask (bit x set iff x is a gap)."""
-        mask = 0
-        for x in self.gaps:
-            mask |= 1 << x
-        return mask
+        return _mask_of(self.gaps)
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -137,7 +136,7 @@ class NumericalSemigroup:
         """True iff every element of self lies in other."""
         if self.m == other.m:
             return all(b <= a for a, b in zip(self.apery, other.apery))
-        return other.gap_set <= self.gap_set
+        return not other.gap_mask & ~self.gap_mask
 
     def intersect(self, other: "NumericalSemigroup") -> "NumericalSemigroup":
         """Intersection; its gap set is the union of the two gap sets."""
@@ -202,10 +201,12 @@ N = NumericalSemigroup(1, ())
 
 
 def _mask_of(xs) -> int:
-    m = 0
+    """Bitmask with bit x set for each x in xs, parsed from one '0'/'1' row."""
+    xs = list(xs)
+    row = bytearray(b"0" * (max(xs, default=0) + 1))  # most significant bit first
     for x in xs:
-        m |= 1 << x
-    return m
+        row[-1 - x] = 49  # ord("1")
+    return int(row, 2)
 
 
 def _bits(mask: int):
@@ -215,8 +216,9 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _complement_closed(gap_mask: int, top: int) -> bool:
-    """True iff no two non-gaps in [0, top] sum to a gap."""
+def _closure_witness(gap_mask: int, top: int) -> tuple[int, int] | None:
+    """Least pair (x, y), x <= y, of nonzero non-gaps in [0, top] summing to a
+    gap, or None.  Pairs with y < x were tried at y: the lowest hit gives y."""
     full = (1 << (top + 1)) - 1
     elems = ~gap_mask & full & ~1  # nonzero elements only
     e = elems
@@ -225,10 +227,16 @@ def _complement_closed(gap_mask: int, top: int) -> bool:
         x = low.bit_length() - 1
         if x + x > top:
             break
-        if (elems << x) & gap_mask:
-            return False
+        hits = (elems << x) & gap_mask
+        if hits:
+            return x, (hits & -hits).bit_length() - 1 - x
         e ^= low
-    return True
+    return None
+
+
+def _complement_closed(gap_mask: int, top: int) -> bool:
+    """True iff no two non-gaps in [0, top] sum to a gap."""
+    return _closure_witness(gap_mask, top) is None
 
 
 def _from_gap_mask(gap_mask: int) -> NumericalSemigroup:
@@ -254,7 +262,8 @@ def from_gaps(gaps) -> NumericalSemigroup:
     """Semigroup whose gap set is exactly `gaps`.
 
     Raises NotClosed (with a witness pair) if the complement is not closed
-    under addition.
+    under addition.  Closure keeps one of x, F - x a gap for each x, so fewer
+    than F//2 + 1 gaps is rejected before anything of size F is built.
     """
     gap_set = frozenset(gaps)
     if not gap_set:
@@ -264,31 +273,28 @@ def from_gaps(gaps) -> NumericalSemigroup:
     top = max(gap_set)
     if top > VALUE_CAP:
         raise LimitExceeded(f"gap {top} above cap 2**40")
-    complement = [x for x in range(top + 1) if x not in gap_set]
-    for ia, x in enumerate(complement):
-        if x == 0:
-            continue
-        for y in complement[ia:]:
-            if x + y > top:
-                break
-            if x + y in gap_set:
-                raise NotClosed((x, y))
-    return _from_gap_mask(_mask_of(gap_set))
+    if len(gap_set) <= top // 2:
+        # each gap rules out one x = min(g, top - g): at most len + 1 steps
+        x = next(x for x in range(1, top) if x not in gap_set and top - x not in gap_set)
+        raise NotClosed((x, top - x))
+    mask = _mask_of(gap_set)
+    witness = _closure_witness(mask, top)
+    if witness:
+        raise NotClosed(witness)
+    return _from_gap_mask(mask)
 
 
 def from_generators(gens) -> NumericalSemigroup:
     """Smallest additively closed set containing 0 and the given generators.
 
-    Raises NotCofinite when gcd(gens) > 1.  The closure is computed by a
-    boolean sieve whose length doubles until a run of m consecutive members
-    appears; past such a run the set is cofinite upward.
+    Raises NotCofinite when gcd(gens) > 1.  a_i is the shortest path to
+    residue i mod m, each other generator an edge (Nijenhuis 1979): Dijkstra
+    over the m residues, in O(m) memory and with no bound on the conductor.
     """
     gen_list = sorted({int(g) for g in gens if g != 0})
     if not gen_list or gen_list[0] < 0:
         raise ValueError("generators must be positive integers")
-    g = 0
-    for x in gen_list:
-        g = gcd(g, x)
+    g = gcd(*gen_list)
     if g != 1:
         raise NotCofinite(f"gcd of generators is {g}, complement is infinite")
     m = gen_list[0]
@@ -297,34 +303,17 @@ def from_generators(gens) -> NumericalSemigroup:
     if gen_list[-1] > VALUE_CAP:
         raise LimitExceeded(f"generator {gen_list[-1]} above cap 2**40")
 
-    bound = 2 * gen_list[-1] + 2
-    while True:
-        if bound > VALUE_CAP:
-            raise LimitExceeded("closure sieve would exceed the 2**40 cap")
-        sieve = bytearray(bound)
-        sieve[0] = 1
-        for gen in gen_list:
-            for x in range(gen, bound):
-                if sieve[x - gen]:
-                    sieve[x] = 1
-        run = 0
-        conductor = None
-        for x in range(bound):
-            run = run + 1 if sieve[x] else 0
-            if run == m:
-                conductor = x - m + 1
-                break
-        if conductor is not None:
-            break
-        bound *= 2
-
-    apery = []
-    for i in range(1, m):
-        x = i
-        while x < conductor and not sieve[x]:
-            x += m
-        apery.append(x)
-    return NumericalSemigroup(m, tuple(apery))
+    apery = [0] + [inf] * (m - 1)
+    heap = [(0, 0)]
+    while heap:
+        d, r = heappop(heap)
+        if d == apery[r]:
+            for x in gen_list[1:]:
+                k = (r + x) % m
+                if d + x < apery[k]:
+                    apery[k] = d + x
+                    heappush(heap, (d + x, k))
+    return NumericalSemigroup(m, tuple(apery[1:]))
 
 
 def intersect_all(semigroups) -> NumericalSemigroup:

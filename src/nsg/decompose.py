@@ -40,6 +40,7 @@ class Budget:
     def tick(self, n: int = 1):
         self.used += n
         if self.used > self.limit:
+            self.used = self.limit + 1  # where single ticks stop, also for a bulk tick
             raise BudgetExceeded(self.used, self.limit)
 
 

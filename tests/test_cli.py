@@ -6,11 +6,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsg import cli
 from nsg.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                      CliParseError, parse_semigroup)
-from nsg.errors import InternalAssertion, SearchFailed
+from nsg.core import VALUE_CAP, NumericalSemigroup
+from nsg.errors import InternalAssertion, NsgError, SearchFailed
 
 
 def run(capsys, *argv):
@@ -54,6 +57,41 @@ def test_parse_errors_report_position():
         parse_semigroup("H:abc")
 
 
+# Specs near the 2**40 cap, family bodies, and malformed text.  Numbers in
+# the malformed parts stay small: a large multiplicity is an unbounded input
+# on its own (the Apery vector takes O(m) memory).
+_big = st.integers(min_value=0, max_value=VALUE_CAP + 2)
+_small = st.integers(min_value=0, max_value=60)
+_junk_part = st.one_of(
+    _small.map(str),
+    st.sampled_from(["", " ", "-3", "+4", "1.5", "x", "\u0663", "\u00b2",
+                     "\U0001d7d7", "1\u00b2", " 7 ", "0x1f"]))
+_specs = st.one_of(
+    st.builds(lambda m, rest: ",".join(map(str, [m] + rest)),
+              st.integers(min_value=1, max_value=60), st.lists(_big, max_size=5)),
+    st.lists(st.one_of(_small, _big), max_size=8).map(
+        lambda xs: "gaps:" + ",".join(map(str, xs))),
+    st.builds(lambda p, n: f"{p}{n}", st.sampled_from(["H:", "T:", "I:"]),
+              st.integers(min_value=0, max_value=300)),
+    st.builds(lambda p, parts: p + ",".join(parts),
+              st.sampled_from(["", "gaps:", "H:", "T:", "I:", "gaps", "h:", ":"]),
+              st.lists(_junk_part, max_size=5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_specs)
+def test_parse_semigroup_fuzz(spec):
+    """Every spec yields a semigroup or a usage error (exit 2), never
+    MemoryError or another exception.  Library level only: `info` prints
+    every gap, so a large F means unbounded output there."""
+    try:
+        s = parse_semigroup(spec)
+    except (NsgError, ValueError):
+        return
+    assert isinstance(s, NumericalSemigroup)
+
+
 # ----- commands and exit codes ----------------------------------------------
 
 
@@ -67,6 +105,19 @@ def test_info(capsys):
     assert r["classification"] == "pseudosymmetric"
     assert r["pseudo_frobenius"] == [2, 4]
     assert r["special_gaps"] == [4]
+
+
+@pytest.mark.parametrize("spec, special, genus", [
+    ("1009,1013", [1020095], 510048),
+    ("2,1000001", [999999], 500000),
+])
+def test_info_large_genus(capsys, spec, special, genus):
+    """Construction, gap mask and special gaps stay linear in F."""
+    code, doc, _ = run_json(capsys, "info", spec)
+    assert code == EXIT_OK
+    r = doc["result"]
+    assert r["special_gaps"] == special and r["genus"] == genus
+    assert r["classification"] == "symmetric"
 
 
 def test_info_parse_error_exits_2(capsys):
@@ -168,6 +219,14 @@ def test_verify_unknown_selector(capsys):
 def test_budget_flag_exits_4(capsys):
     code, _, err = run(capsys, "--budget", "3", "lengths", "6,13,14,15,16,17")
     assert code == EXIT_BUDGET and "budget" in err
+
+
+def test_budget_exceeded_reports_limit_plus_one(capsys):
+    # the atom tables are ticked a whole table at a time; the report still
+    # stops one node past the limit
+    code, out, err = run(capsys, "--budget", "50", "ordinary", "20", "--min")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: enumeration budget exceeded: 51 > 50 nodes\n"
 
 
 def test_budget_env_var(capsys, monkeypatch):

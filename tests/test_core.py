@@ -22,6 +22,8 @@ def test_from_generators_redundant_generators_dropped():
     # 8 = 3 + 5 is not minimal
     s = from_generators([3, 5, 8, 100])
     assert s.generators == (3, 5)
+    # 2**39 + 1 is a multiple of 3: no conductor bound depends on its size
+    assert from_generators([3, 4, (1 << 39) + 1]) == from_generators([3, 4])
 
 
 def test_from_generators_order_and_duplicates_ignored():
@@ -48,6 +50,20 @@ def test_from_gaps_not_closed_carries_witness():
         from_gaps({1, 2, 4, 8})  # 4 = 8 - 4 forces e.g. 3 + 5 = 8
     x, y = ei.value.witness
     assert x + y in {1, 2, 4, 8}
+    # the least pair, as a scan of non-gap pairs in increasing order finds it
+    assert ei.value.witness == (3, 5)
+    with pytest.raises(NotClosed) as ei:
+        from_gaps({1, 2, 4, 6})
+    assert ei.value.witness == (3, 3)
+    # fewer than F//2 + 1 gaps: the least x with x and F - x both elements,
+    # found without building anything of size F
+    f = (1 << 40) - 1
+    with pytest.raises(NotClosed) as ei:
+        from_gaps({1, f})
+    assert ei.value.witness == (2, f - 2)
+    with pytest.raises(NotClosed) as ei:
+        from_gaps({1, 2, 3, 8})  # even F = 8 with F/2 = 4 an element
+    assert ei.value.witness == (4, 4)
 
 
 def test_from_gaps_empty_is_full_semigroup():
@@ -83,6 +99,9 @@ def test_validate_catches_inequality_violation():
 def test_value_cap():
     with pytest.raises(LimitExceeded):
         NumericalSemigroup(2, ((1 << 41) + 1,))
+    with pytest.raises(LimitExceeded):
+        from_generators([2, (1 << 40) + 1])
+    assert from_generators([2, (1 << 40) - 1]).frobenius == (1 << 40) - 3
 
 
 def test_membership():
@@ -207,6 +226,14 @@ def test_generator_gap_round_trip(gens):
     for g in s.generators[1:] if s.m > 1 else ():
         assert g in s
         assert not any(x in s and (g - x) in s for x in range(1, g))
+    # S is the monoid the inputs generate: every input is in S, and
+    # membership up to F + m matches reachability by sums of inputs
+    assert all(g in s for g in gens)
+    top = s.frobenius + s.m
+    reach = [True] + [False] * top
+    for x in range(1, top + 1):
+        reach[x] = any(g <= x and reach[x - g] for g in gens)
+    assert [x in s for x in range(top + 1)] == reach
 
 
 @settings(max_examples=40, deadline=None)

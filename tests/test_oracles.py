@@ -15,7 +15,7 @@ from nsg import (Budget, NotClosed, classify, from_gaps, intersect_all,
                  length_spectrum, oversemigroups, semigroups_up_to_genus,
                  special_gaps, N, PSEUDOSYMMETRIC, REDUCIBLE, SYMMETRIC,
                  VALID_IRREDUNDANT)
-from nsg.core import _complement_closed, _mask_of
+from nsg.core import _closure_witness, _complement_closed, _mask_of
 from nsg.decompose import _cover_criteria
 
 
@@ -35,6 +35,22 @@ def bf_closed(gaps):
             if x + y in gaps:
                 return False
     return True
+
+
+def bf_closure_witness(gaps):
+    """Least pair (x, y), x <= y, of nonzero non-gaps with x + y a gap, by
+    scanning the complement in increasing order; None when closed."""
+    if not gaps:
+        return None
+    top = max(gaps)
+    comp = [x for x in range(1, top + 1) if x not in gaps]
+    for i, x in enumerate(comp):
+        for y in comp[i:]:
+            if x + y > top:
+                break
+            if x + y in gaps:
+                return x, y
+    return None
 
 
 def bf_kind(gaps):
@@ -177,8 +193,26 @@ def test_atoms_vs_oversemigroup_recursion():
         assert got == bf_atoms(s), s
 
 
+def test_closure_witness_vs_pair_scan():
+    """On every subset of {1..12}: the mask kernel finds the pair scan's
+    least pair, and from_gaps rejects exactly the subsets that have one."""
+    for r in range(13):
+        for sub in combinations(range(1, 13), r):
+            gaps = set(sub)
+            want = bf_closure_witness(gaps)
+            assert _closure_witness(_mask_of(gaps), max(gaps, default=0)) == want, sub
+            try:
+                from_gaps(gaps)
+            except NotClosed:
+                assert want is not None, sub
+            else:
+                assert want is None, sub
+
+
 def test_special_gaps_vs_from_gaps_per_gap():
-    for s in semigroups_up_to_genus(9):
+    """Genus <= 9, and multiplicity 7 up to F = 22 (genus <= 19), where the
+    closure criterion runs on the m - 1 candidates a_i - m."""
+    for s in chain(semigroups_up_to_genus(9), kunz_semigroups(7, 22)):
         if s.m == 1:
             continue
         assert special_gaps(s) == bf_special_gaps(s), s
