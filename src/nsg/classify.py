@@ -36,17 +36,14 @@ class IrreducibilityReport:
 def pseudo_frobenius(s: NumericalSemigroup) -> frozenset[int]:
     """Gaps maximal under the divisibility order of s.
 
-    Computed as (maximal Apery elements) - m; the cardinality is the type
-    t(s) and never exceeds m - 1.
+    Computed as (maximal Apery elements) - m: a_i is maximal iff no
+    a_i + a_k = a_{i+k} (see `core._apery_sums`).  The cardinality is the
+    type t(s) and never exceeds m - 1.
     """
     if s.m == 1:
         raise FullSemigroup("the full semigroup has no pseudo-Frobenius numbers")
-    ap = s.apery
-    out = []
-    for i, a in enumerate(ap):
-        if all(j == i or not s.contains(b - a) for j, b in enumerate(ap)):
-            out.append(a - s.m)
-    return frozenset(out)
+    _, used = core._apery_sums(s)
+    return frozenset(a - s.m for i, a in enumerate(s.apery, start=1) if i not in used)
 
 
 @lru_cache(maxsize=None)

@@ -68,6 +68,14 @@ def parse_semigroup(spec: str) -> NumericalSemigroup:
     return core.from_generators(_parse_int_list(spec))
 
 
+def _parse_metered(spec: str, budget: Budget) -> NumericalSemigroup:
+    """Parse a semigroup and tick the budget by its genus, before any caller
+    lists or masks its gaps (the genus is O(m) from the Apery vector)."""
+    s = parse_semigroup(spec)
+    budget.tick(s.genus)
+    return s
+
+
 def semigroup_json(s: NumericalSemigroup) -> dict:
     return {
         "multiplicity": s.m,
@@ -127,7 +135,7 @@ def _print_plain(result, indent=""):
 
 
 def cmd_info(args, budget):
-    s = parse_semigroup(args.spec)
+    s = _parse_metered(args.spec, budget)
     rep = classify(s)
     result = semigroup_json(s)
     if s.m > 1:
@@ -139,13 +147,13 @@ def cmd_info(args, budget):
 
 
 def cmd_lengths(args, budget):
-    s = parse_semigroup(args.spec)
+    s = _parse_metered(args.spec, budget)
     spec = length_spectrum(s, budget)
     return spectrum_json(spec), EXIT_OK
 
 
 def cmd_decompose(args, budget):
-    s = parse_semigroup(args.spec)
+    s = _parse_metered(args.spec, budget)
     spec = length_spectrum(s, budget)
     result = {"lengths": list(spec.lengths), "decompositions": []}
     for k in spec.lengths:

@@ -554,37 +554,31 @@ def semigroups_up_to_genus(gmax: int):
                 stack.append(core._from_gap_mask(s.gap_mask | 1 << g))
 
 
-def minimum_cover(universe, subsets, budget=None):
-    """Exact minimum set cover; returns (size, indices into `subsets`).
+def minimum_cover(full: int, masks, budget=None):
+    """Exact minimum set cover of the bits of `full` by `masks`; returns
+    (size, indices into `masks`).  Bits outside `full` are ignored.
 
-    Dominated sets (subsets of another) are discarded up front; the search
-    branches on an uncovered element contained in the fewest sets, with
-    iterative deepening on the cover size.
+    Equal masks are merged (the first index wins) and dominated masks
+    (subsets of another) discarded up front; the search branches on the
+    uncovered bit contained in the fewest kept masks, ties to the lowest bit,
+    with iterative deepening on the cover size.
     """
     b = _budget(budget)
-    uni = frozenset(universe)
-    full = _mask_of(range(len(uni)))
-    pos = {x: i for i, x in enumerate(sorted(uni))}
-    masks = []
-    for idx, sub in enumerate(subsets):
-        mk = 0
-        for x in sub:
-            if x in pos:
-                mk |= 1 << pos[x]
-        masks.append((mk, idx))
+    first: dict[int, int] = {}
+    for idx, mk in enumerate(masks):
+        first.setdefault(mk & full, idx)
     # keep only maximal masks
-    masks.sort(key=lambda p: bin(p[0]).count("1"), reverse=True)
     kept: list[tuple[int, int]] = []
-    for mk, idx in masks:
+    for mk, idx in sorted(first.items(), key=lambda p: (-p[0].bit_count(), p[1])):
         if mk and not any(mk & ~km == 0 for km, _ in kept):
             kept.append((mk, idx))
     if not kept:
         raise ValueError("empty subsets cannot cover anything")
 
-    by_elem = [[i for i, (mk, _) in enumerate(kept) if mk >> e & 1]
-               for e in range(len(uni))]
-    if any(not cand for cand in by_elem):
+    by_bit = {e: [p for p in kept if p[0] >> e & 1] for e in _bits(full)}
+    if not all(by_bit.values()):
         raise ValueError("universe element not covered by any subset")
+    order = sorted(by_bit, key=lambda e: len(by_bit[e]))  # stable: ties to the lowest bit
 
     def dfs(uncovered, depth_left, chosen):
         b.tick()
@@ -592,17 +586,17 @@ def minimum_cover(universe, subsets, budget=None):
             return list(chosen)
         if depth_left == 0:
             return None
-        e = min(_bits(uncovered), key=lambda x: len(by_elem[x]))
-        for i in by_elem[e]:
-            chosen.append(i)
-            got = dfs(uncovered & ~kept[i][0], depth_left - 1, chosen)
+        e = next(e for e in order if uncovered >> e & 1)
+        for mk, idx in by_bit[e]:
+            chosen.append(idx)
+            got = dfs(uncovered & ~mk, depth_left - 1, chosen)
             if got is not None:
                 return got
             chosen.pop()
         return None
 
-    for k in range(1, len(uni) + 1):
+    for k in range(1, full.bit_count() + 1):
         got = dfs(full, k, [])
         if got is not None:
-            return k, [kept[i][1] for i in got]
+            return k, got
     raise InternalAssertion("cover search exhausted without a cover")

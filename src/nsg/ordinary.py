@@ -185,8 +185,7 @@ def min_ordinary_length(m: int, budget=None) -> tuple[int, Decomposition]:
     hm = H(m)
     sg_mask = core._mask_of(special_gaps_of_ordinary(m))
     atoms = _atom_masks(hm, sg_mask, b)
-    size, idxs = minimum_cover(core._bits(sg_mask),
-                               [core._bits(gm & sg_mask) for gm in atoms], b)
+    size, idxs = minimum_cover(sg_mask, atoms, b)
     comps = tuple(sorted((core._from_gap_mask(atoms[i]) for i in idxs),
                          key=NumericalSemigroup.sort_key))
     check = is_decomposition(hm, comps)

@@ -105,6 +105,7 @@ def test_info(capsys):
     assert r["classification"] == "pseudosymmetric"
     assert r["pseudo_frobenius"] == [2, 4]
     assert r["special_gaps"] == [4]
+    assert doc["stats"]["budget_used"] == r["genus"]  # the genus tick only
 
 
 @pytest.mark.parametrize("spec, special, genus", [
@@ -227,6 +228,16 @@ def test_budget_exceeded_reports_limit_plus_one(capsys):
     code, out, err = run(capsys, "--budget", "50", "ordinary", "20", "--min")
     assert code == EXIT_BUDGET and out == ""
     assert err == "error: enumeration budget exceeded: 51 > 50 nodes\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("info", "2,1099511627775"),  # genus 2**39 - 1
+    ("lengths", "3,412316860417,412316860418"),  # reducible, genus about 2**38
+])
+def test_huge_genus_exits_4_before_listing_gaps(capsys, argv):
+    """info/lengths/decompose tick the budget by the genus right after parsing."""
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BUDGET and "budget" in err and out == ""
 
 
 def test_budget_env_var(capsys, monkeypatch):

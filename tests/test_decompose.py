@@ -8,6 +8,7 @@ from nsg import (Budget, BudgetExceeded, INVALID, N, VALID_IRREDUNDANT,
                  irreducibles_with_frobenius, is_decomposition, kunz_semigroups,
                  length_spectrum, m_set, minimum_cover, miss_set, oversemigroups,
                  semigroups_up_to_genus, special_gaps)
+from nsg.core import _mask_of
 
 
 # counts of irreducible semigroups by Frobenius number, cross-checked against
@@ -206,15 +207,15 @@ def test_semigroups_up_to_genus_counts():
 
 
 def test_minimum_cover():
-    size, idxs = minimum_cover({1, 2, 3, 4}, [{1, 2}, {3}, {4}, {3, 4}, {1}])
+    subsets = [_mask_of(xs) for xs in ({1, 2}, {3}, {4}, {3, 4}, {1})]
+    size, idxs = minimum_cover(_mask_of({1, 2, 3, 4}), subsets)
     assert size == 2
-    chosen = [{1, 2}, {3}, {4}, {3, 4}, {1}]
-    union = set()
+    union = 0
     for i in idxs:
-        union |= chosen[i]
-    assert union == {1, 2, 3, 4}
+        union |= subsets[i]
+    assert union == _mask_of({1, 2, 3, 4})
     with pytest.raises(ValueError):
-        minimum_cover({1, 2}, [{1}])
+        minimum_cover(_mask_of({1, 2}), [_mask_of({1})])
 
 
 def test_irreducible_oversemigroups_atoms():

@@ -6,15 +6,18 @@ symmetry -- and compares them with the optimized library code.  Slow but
 exhaustive over small ranges.
 """
 
+import random
 from collections import Counter
 from itertools import chain, combinations
+
+import pytest
 
 from nsg import (Budget, NotClosed, classify, from_gaps, intersect_all,
                  irreducible_oversemigroups, irreducibles_with_frobenius,
                  is_decomposition, is_irreducible, kunz_semigroups,
-                 length_spectrum, oversemigroups, semigroups_up_to_genus,
-                 special_gaps, N, PSEUDOSYMMETRIC, REDUCIBLE, SYMMETRIC,
-                 VALID_IRREDUNDANT)
+                 length_spectrum, minimum_cover, oversemigroups,
+                 pseudo_frobenius, semigroups_up_to_genus, special_gaps, N,
+                 PSEUDOSYMMETRIC, REDUCIBLE, SYMMETRIC, VALID_IRREDUNDANT)
 from nsg.core import _closure_witness, _complement_closed, _mask_of
 from nsg.decompose import _cover_criteria
 
@@ -166,6 +169,32 @@ def bf_special_gaps(s):
     return out
 
 
+def bf_generators(s):
+    """Nonzero elements that are not a sum of two nonzero elements; none
+    exceeds the largest Apery element."""
+    elems = [x for x in range(1, max(s.apery) + 1) if s.contains(x)]
+    return {x for x in elems if not any(s.contains(x - y) for y in elems if 2 * y <= x)}
+
+
+def bf_pseudo_frobenius(s):
+    """Gaps x with x + y in S for every nonzero element y <= F."""
+    nonzero = [y for y in range(1, s.frobenius + 1) if s.contains(y)]
+    return {x for x in s.gaps if all(s.contains(x + y) for y in nonzero)}
+
+
+def bf_minimum_cover_size(full, masks):
+    """Smallest k such that some k of the masks cover every bit of full, by
+    trying every k-subset in turn; None when even all of them do not."""
+    for k in range(1, len(masks) + 1):
+        for sub in combinations(masks, k):
+            union = 0
+            for mk in sub:
+                union |= mk
+            if union & full == full:
+                return k
+    return None
+
+
 def bf_cover_criteria(s, comps):
     """Cover and private-gap criteria by membership tests, quadratic in the
     number of components: every special gap is missed by some component, and
@@ -219,6 +248,47 @@ def test_special_gaps_vs_from_gaps_per_gap():
         for x in s.gaps:
             closed = _complement_closed(s.gap_mask & ~(1 << x), s.frobenius)
             assert closed == (x in special_gaps(s)), (s, x)
+
+
+def test_generators_and_pseudo_frobenius_vs_brute_force():
+    """Both come from one pass over the Apery sums; genus <= 9 and
+    multiplicity 7 up to F = 22."""
+    for s in chain(semigroups_up_to_genus(9), kunz_semigroups(7, 22)):
+        if s.m == 1:
+            continue
+        assert set(s.generators) == bf_generators(s), s
+        assert pseudo_frobenius(s) == bf_pseudo_frobenius(s), s
+
+
+def test_minimum_cover_vs_exhaustive_search():
+    """Seeded random instances with repeated masks, dominated masks and bits
+    outside full: the size is the smallest k that covers, and the returned
+    indices cover full."""
+    rng = random.Random(8)
+    solved = 0
+    for _ in range(1500):
+        full = rng.getrandbits(10) | 1 << rng.randrange(10)
+        masks = [rng.getrandbits(12) for _ in range(rng.randint(1, 7))]  # bits 10, 11 lie outside
+        masks += [rng.choice(masks) for _ in range(rng.randint(0, 2))]  # repeated
+        masks += [mk & rng.getrandbits(12) for mk in rng.choices(masks, k=2)]  # dominated
+        rng.shuffle(masks)
+        want = bf_minimum_cover_size(full, masks)
+        if want is None:
+            with pytest.raises(ValueError):
+                minimum_cover(full, masks)
+            continue
+        size, idxs = minimum_cover(full, masks)
+        assert size == want == len(set(idxs)), (full, masks)
+        union = 0
+        for i in idxs:
+            union |= masks[i]
+        assert union & full == full, (full, masks)
+        solved += 1
+    assert solved > 500
+    with pytest.raises(ValueError, match="empty subsets"):
+        minimum_cover(0b0110, [0b1001, 0b10000, 0])
+    with pytest.raises(ValueError, match="not covered"):
+        minimum_cover(0b0110, [0b0011, 0b1001])
 
 
 def test_cover_kernels_vs_quadratic_formulas():

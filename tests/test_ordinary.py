@@ -2,7 +2,7 @@
 
 import pytest
 
-from nsg import (D, H, I_irr, OutOfRange, PSEUDOSYMMETRIC, SYMMETRIC, T_irr,
+from nsg import (Budget, D, H, I_irr, OutOfRange, PSEUDOSYMMETRIC, SYMMETRIC, T_irr,
                  UndefinedValue, VALID_IRREDUNDANT, classify, d_family_lengths,
                  from_generators, is_decomposition, length_spectrum,
                  min_ordinary_length, n_min, special_gaps_of_ordinary, two_adic)
@@ -105,6 +105,12 @@ def test_min_ordinary_length_small():
 
 
 def test_min_ordinary_length_beats_family_at_28():
-    size, witness = min_ordinary_length(28)
+    budget = Budget()
+    size, witness = min_ordinary_length(28, budget)
     assert size == 4 < n_min(28)
     assert witness.length == 4
+    # the cover search's branching order decides the witness and the node
+    # count; both pinned
+    assert [list(c.generators) for c in witness.components] == [
+        [2, 29], [4, 15, 17], [7, 11, 12, 17], [9, 10, 13, 16, 17, 21]]
+    assert budget.used == 474
