@@ -21,8 +21,8 @@ import time
 from . import core, ordinary, reference_data
 from .classify import classify, pseudo_frobenius, special_gaps
 from .core import NumericalSemigroup
-from .decompose import (VALID_IRREDUNDANT, Budget, check_interval, check_msbound,
-                        is_decomposition, length_spectrum)
+from .decompose import (DEFAULT_BUDGET, VALID_IRREDUNDANT, Budget, check_interval,
+                        check_msbound, is_decomposition, length_spectrum)
 from .errors import BudgetExceeded, InternalAssertion, NsgError, SearchFailed
 
 SCHEMA_VERSION = "1"
@@ -165,6 +165,12 @@ def cmd_decompose(args, budget):
     return result, EXIT_OK
 
 
+def _family_minimum(m: int) -> int | None:
+    """n_min(m); None below multiplicity 4, where the family is not defined
+    (H(2) and H(3) are irreducible)."""
+    return ordinary.n_min(m) if m >= 4 else None
+
+
 def cmd_ordinary(args, budget):
     m = args.m
     if args.min:
@@ -172,7 +178,7 @@ def cmd_ordinary(args, budget):
         return {
             "m": m,
             "minimum_length": size,
-            "family_minimum": ordinary.n_min(m),
+            "family_minimum": _family_minimum(m),
             "witness": [list(c.generators) for c in witness.components],
         }, EXIT_OK
     if args.all:
@@ -196,8 +202,8 @@ def cmd_ordinary(args, budget):
     return {
         "m": m,
         "special_gaps": ordinary.special_gaps_of_ordinary(m),
-        "family_minimum": ordinary.n_min(m),
-        "family_maximum": m // 2,
+        "family_minimum": _family_minimum(m),
+        "family_maximum": m // 2 if m >= 4 else None,
     }, EXIT_OK
 
 
@@ -373,16 +379,33 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _budget_limit(flag: int | None) -> int:
+    """The node budget: --budget, else NSG_BUDGET when set and nonempty, else
+    the default.  A non-integer or negative value is a usage error."""
+    if flag is not None:
+        limit, source = flag, "--budget"
+    else:
+        env = os.environ.get("NSG_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
+        source = "NSG_BUDGET"
+        try:
+            limit = int(env)
+        except ValueError:
+            raise ValueError(f"NSG_BUDGET must be a non-negative integer, not {env!r}") from None
+    if limit < 0:
+        raise ValueError(f"{source} must be a non-negative integer, not {limit}")
+    return limit
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    limit = args.budget
-    if limit is None:
-        env = os.environ.get("NSG_BUDGET")
-        limit = int(env) if env else None
-    budget = Budget(limit) if limit is not None else Budget()
     started = time.monotonic()
     try:
+        budget = Budget(_budget_limit(args.budget))
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, not {args.threads}")
         result, code = args.func(args, budget)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -331,6 +331,12 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
     sets are never jointly irredundant (dropping either leaves the special
     gaps covered), so deduplication loses no lengths.  An irredundant cover
     is one where every member keeps a private special gap.
+
+    The search records the first cover of each length it meets.  Every set
+    added must cover a new special gap, so a node with k sets chosen, u
+    special gaps uncovered and r sets left to try reaches only lengths
+    k + 1 .. k + min(u, r); when all of them have witnesses it is cut, which
+    leaves the witnesses unchanged.
     """
     b = _budget(budget)
     if s.m == 1 or is_irreducible(s):
@@ -358,13 +364,16 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
 
     def rec(start, chosen, privates, covered):
         b.tick()
+        k = len(chosen)
         if covered == full:
-            k = len(chosen)
             if k not in found:
                 found[k] = tuple(chosen)
             return
         if (covered | suffix_union[start]) != full:
             return
+        reach = min((full & ~covered).bit_count(), nsets - start)
+        if all(n in found for n in range(k + 1, k + reach + 1)):
+            return  # every length this subtree can reach already has a witness
         for j in range(start, nsets):
             sj = sets[j]
             if sj & ~covered == 0:
@@ -559,18 +568,32 @@ def minimum_cover(full: int, masks, budget=None):
     (size, indices into `masks`).  Bits outside `full` are ignored.
 
     Equal masks are merged (the first index wins) and dominated masks
-    (subsets of another) discarded up front; the search branches on the
-    uncovered bit contained in the fewest kept masks, ties to the lowest bit,
-    with iterative deepening on the cover size.
+    (subsets of another) discarded up front: taken by (-popcount, index), a
+    mask is dominated iff the AND over its bits of the per-bit bitsets of
+    kept masks is nonzero.  The search branches on the uncovered bit
+    contained in the fewest kept masks, ties to the lowest bit, with
+    iterative deepening on the cover size.  Two bounds cut only subtrees
+    without a cover, so the witness is the unbounded search's: with d >= 2
+    sets left a node stops when d times the most uncovered bits one kept
+    mask holds is below the uncovered count, and with one set left it scans
+    the branching bit's masks for one holding every uncovered bit instead
+    of recursing.
     """
     b = _budget(budget)
     first: dict[int, int] = {}
     for idx, mk in enumerate(masks):
         first.setdefault(mk & full, idx)
-    # keep only maximal masks
+    # keep only maximal masks; holders[e] has bit i set iff kept[i] holds e.
+    # The empty mask keeps common == -1, so it is never kept.
     kept: list[tuple[int, int]] = []
+    holders = dict.fromkeys(_bits(full), 0)
     for mk, idx in sorted(first.items(), key=lambda p: (-p[0].bit_count(), p[1])):
-        if mk and not any(mk & ~km == 0 for km, _ in kept):
+        common = -1
+        for e in _bits(mk):
+            common &= holders[e]
+        if not common:
+            for e in _bits(mk):
+                holders[e] |= 1 << len(kept)
             kept.append((mk, idx))
     if not kept:
         raise ValueError("empty subsets cannot cover anything")
@@ -582,11 +605,17 @@ def minimum_cover(full: int, masks, budget=None):
 
     def dfs(uncovered, depth_left, chosen):
         b.tick()
-        if uncovered == 0:
-            return list(chosen)
-        if depth_left == 0:
-            return None
         e = next(e for e in order if uncovered >> e & 1)
+        if depth_left == 1:
+            for mk, idx in by_bit[e]:
+                if not uncovered & ~mk:
+                    return chosen + [idx]
+            return None
+        if uncovered.bit_count() > depth_left * max((mk & uncovered).bit_count()
+                                                    for mk, _ in kept):
+            return None
+        # no child covers everything: that cover would be smaller than k, and
+        # the previous round, which is complete, would have found it
         for mk, idx in by_bit[e]:
             chosen.append(idx)
             got = dfs(uncovered & ~mk, depth_left - 1, chosen)

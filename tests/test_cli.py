@@ -174,6 +174,20 @@ def test_ordinary_summary_and_family(capsys):
     assert doc["result"]["family_minimum"] == 5
 
 
+@pytest.mark.parametrize("m, witness", [("2", [2, 3]), ("3", [3, 4, 5])])
+def test_ordinary_below_family_range(capsys, m, witness):
+    """H(2) and H(3) are irreducible: --min answers 1 and the family, defined
+    from multiplicity 4 on, has no minimum."""
+    code, doc, _ = run_json(capsys, "ordinary", m, "--min")
+    assert code == EXIT_OK
+    assert doc["result"]["minimum_length"] == 1
+    assert doc["result"]["witness"] == [witness]
+    assert doc["result"]["family_minimum"] is None
+    code, doc, _ = run_json(capsys, "ordinary", m)
+    assert code == EXIT_OK
+    assert doc["result"]["family_minimum"] is None
+
+
 def test_check_interval(capsys):
     code, doc, _ = run_json(capsys, "check", "4", "14", "--interval")
     assert code == EXIT_OK
@@ -250,6 +264,32 @@ def test_budget_flag_wins_over_env(capsys, monkeypatch):
     monkeypatch.setenv("NSG_BUDGET", "3")
     code, _, _ = run(capsys, "--budget", "100000", "lengths", "6,13,14,15,16,17")
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("env, argv", [
+    ("abc", ()),
+    ("-1", ()),
+    (None, ("--budget", "-5")),
+    (None, ("--threads", "0")),
+    (None, ("--threads", "-3")),
+])
+def test_bad_budget_or_threads_exits_2(capsys, monkeypatch, env, argv):
+    if env is None:
+        monkeypatch.delenv("NSG_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("NSG_BUDGET", env)
+    code, out, err = run(capsys, *argv, "info", "3,5")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_zero_budget_is_valid_and_exits_4(capsys, monkeypatch):
+    monkeypatch.delenv("NSG_BUDGET", raising=False)
+    code, _, err = run(capsys, "--budget", "0", "info", "3,5")
+    assert code == EXIT_BUDGET and err == "error: enumeration budget exceeded: 1 > 0 nodes\n"
+    monkeypatch.setenv("NSG_BUDGET", "0")
+    code, _, _ = run(capsys, "info", "3,5")
+    assert code == EXIT_BUDGET
 
 
 # ----- output discipline -----------------------------------------------------

@@ -18,8 +18,9 @@ from nsg import (Budget, NotClosed, classify, from_gaps, intersect_all,
                  length_spectrum, minimum_cover, oversemigroups,
                  pseudo_frobenius, semigroups_up_to_genus, special_gaps, N,
                  PSEUDOSYMMETRIC, REDUCIBLE, SYMMETRIC, VALID_IRREDUNDANT)
-from nsg.core import _closure_witness, _complement_closed, _mask_of
-from nsg.decompose import _cover_criteria
+from nsg.core import _bits, _closure_witness, _complement_closed, _mask_of
+from nsg.decompose import _atom_masks, _cover_criteria
+from nsg.ordinary import H
 
 
 # ----- brute-force primitives ------------------------------------------------
@@ -195,6 +196,80 @@ def bf_minimum_cover_size(full, masks):
     return None
 
 
+def ref_minimum_cover(full, masks):
+    """The cover search without its bounds: the same merging, dominance
+    filter and branching order, but every node branches down to depth 0.
+    Returns the (size, indices) the bounded search must reproduce."""
+    first = {}
+    for idx, mk in enumerate(masks):
+        first.setdefault(mk & full, idx)
+    kept = []
+    for mk, idx in sorted(first.items(), key=lambda p: (-p[0].bit_count(), p[1])):
+        if mk and not any(mk & ~km == 0 for km, _ in kept):
+            kept.append((mk, idx))
+    by_bit = {e: [p for p in kept if p[0] >> e & 1]
+              for e in range(full.bit_length()) if full >> e & 1}
+    order = sorted(by_bit, key=lambda e: len(by_bit[e]))
+
+    def dfs(uncovered, depth_left, chosen):
+        if uncovered == 0:
+            return list(chosen)
+        if depth_left == 0:
+            return None
+        e = next(e for e in order if uncovered >> e & 1)
+        for mk, idx in by_bit[e]:
+            chosen.append(idx)
+            got = dfs(uncovered & ~mk, depth_left - 1, chosen)
+            if got is not None:
+                return got
+            chosen.pop()
+        return None
+
+    for k in range(1, full.bit_count() + 1):
+        got = dfs(full, k, [])
+        if got is not None:
+            return k, got
+    return None
+
+
+def ref_spectrum_witnesses(s):
+    """{length: witness generators} from the irredundant-cover search
+    without its length-range cut: every node whose suffix can still cover
+    is expanded, and each length keeps the first cover met."""
+    sg_mask = _mask_of(special_gaps(s))
+    by_miss = {}
+    for a in irreducible_oversemigroups(s, Budget(50_000_000)):
+        by_miss.setdefault(a.T.gap_mask & sg_mask, []).append(a.T)
+    sets = sorted(by_miss, key=lambda key: (min(_bits(key)), tuple(_bits(key))))
+    nsets = len(sets)
+    suffix_union = [0] * (nsets + 1)
+    for i in range(nsets - 1, -1, -1):
+        suffix_union[i] = suffix_union[i + 1] | sets[i]
+    found = {}
+
+    def rec(start, chosen, privates, covered):
+        if covered == sg_mask:
+            found.setdefault(len(chosen), tuple(chosen))
+            return
+        if (covered | suffix_union[start]) != sg_mask:
+            return
+        for j in range(start, nsets):
+            sj = sets[j]
+            if sj & ~covered == 0:
+                continue
+            new_priv = [p & ~sj for p in privates]
+            if any(p == 0 for p in new_priv):
+                continue
+            new_priv.append(sj & ~covered)
+            chosen.append(j)
+            rec(j + 1, chosen, new_priv, covered | sj)
+            chosen.pop()
+
+    rec(0, [], [], 0)
+    return {k: [min(by_miss[sets[j]], key=lambda t: t.sort_key()).generators for j in found[k]]
+            for k in sorted(found)}
+
+
 def bf_cover_criteria(s, comps):
     """Cover and private-gap criteria by membership tests, quadratic in the
     number of components: every special gap is missed by some component, and
@@ -262,8 +337,8 @@ def test_generators_and_pseudo_frobenius_vs_brute_force():
 
 def test_minimum_cover_vs_exhaustive_search():
     """Seeded random instances with repeated masks, dominated masks and bits
-    outside full: the size is the smallest k that covers, and the returned
-    indices cover full."""
+    outside full: the size is the smallest k that covers, the returned
+    indices cover full, and both equal the unbounded search's."""
     rng = random.Random(8)
     solved = 0
     for _ in range(1500):
@@ -279,6 +354,7 @@ def test_minimum_cover_vs_exhaustive_search():
             continue
         size, idxs = minimum_cover(full, masks)
         assert size == want == len(set(idxs)), (full, masks)
+        assert (size, idxs) == ref_minimum_cover(full, masks), (full, masks)
         union = 0
         for i in idxs:
             union |= masks[i]
@@ -289,6 +365,28 @@ def test_minimum_cover_vs_exhaustive_search():
         minimum_cover(0b0110, [0b1001, 0b10000, 0])
     with pytest.raises(ValueError, match="not covered"):
         minimum_cover(0b0110, [0b0011, 0b1001])
+
+
+def test_minimum_cover_vs_unpruned_search_on_ordinary():
+    """The atoms of H(m), m <= 44: the bounded search returns the unpruned
+    search's size and indices, so the same witness."""
+    for m in range(4, 45):
+        hm = H(m)
+        sg_mask = _mask_of(special_gaps(hm))
+        atoms = _atom_masks(hm, sg_mask, Budget())
+        assert minimum_cover(sg_mask, atoms) == ref_minimum_cover(sg_mask, atoms), m
+
+
+def test_spectrum_witnesses_vs_unpruned_search():
+    """Genus <= 8 and multiplicity 7 up to F = 20: the same lengths and the
+    same witness generators for every length as the search without the
+    length-range cut."""
+    for s in chain(semigroups_up_to_genus(8), kunz_semigroups(7, 20)):
+        if s.m == 1 or is_irreducible(s):
+            continue
+        spec = length_spectrum(s, Budget(50_000_000))
+        got = {k: [c.generators for c in d.components] for k, d in spec.witnesses.items()}
+        assert got == ref_spectrum_witnesses(s), s
 
 
 def test_cover_kernels_vs_quadratic_formulas():

@@ -113,4 +113,12 @@ def test_min_ordinary_length_beats_family_at_28():
     # count; both pinned
     assert [list(c.generators) for c in witness.components] == [
         [2, 29], [4, 15, 17], [7, 11, 12, 17], [9, 10, 13, 16, 17, 21]]
-    assert budget.used == 474
+    assert budget.used == 352
+
+
+def test_min_ordinary_length_56_within_node_budget():
+    # the cover search's bounds keep H(56) at about 20,000 nodes (atom tables
+    # included); the unpruned search needs over 255,000
+    budget = Budget(100_000)
+    size, witness = min_ordinary_length(56, budget)
+    assert size == witness.length == 4
