@@ -37,13 +37,13 @@ def pseudo_frobenius(s: NumericalSemigroup) -> frozenset[int]:
     """Gaps maximal under the divisibility order of s.
 
     Computed as (maximal Apery elements) - m: a_i is maximal iff no
-    a_i + a_k = a_{i+k} (see `core._apery_sums`).  The cardinality is the
-    type t(s) and never exceeds m - 1.
+    a_i + a_k = a_{i+k} (see `NumericalSemigroup._apery_sums`).  The
+    cardinality is the type t(s) and never exceeds m - 1.
     """
     if s.m == 1:
         raise FullSemigroup("the full semigroup has no pseudo-Frobenius numbers")
-    _, used = core._apery_sums(s)
-    return frozenset(a - s.m for i, a in enumerate(s.apery, start=1) if i not in used)
+    _, used = s._apery_sums
+    return frozenset(a - s.m for i, a in enumerate(s.apery, start=1) if not used >> i & 1)
 
 
 @lru_cache(maxsize=None)

@@ -40,6 +40,15 @@ class CliParseError(NsgError):
         super().__init__(f"{message} at position {pos}: {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with its usage errors (an unknown command, a missing or
+    non-integer argument) raised for `main` to report as exit 2 on one
+    `error:` line, like the flag checks, instead of exiting the interpreter."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _parse_int_list(text: str, offset: int = 0) -> list[int]:
     out = []
     pos = 0
@@ -328,7 +337,7 @@ def cmd_verify(args, budget):
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The nsg argument parser, built once per process and reused by `main`."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="nsg",
         description="numerical semigroups: invariants, irreducible decompositions, "
                     "length spectra, and exhaustive verification sweeps")
@@ -399,10 +408,9 @@ def _budget_limit(flag: int | None) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
+        started = time.monotonic()
         budget = Budget(_budget_limit(args.budget))
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, not {args.threads}")

@@ -105,9 +105,33 @@ class NumericalSemigroup:
         """
         if self.m == 1:
             return (1,)
-        sums, _ = _apery_sums(self)
-        gens = [self.m] + [a for i, a in enumerate(self.apery, start=1) if i not in sums]
+        sums, _ = self._apery_sums
+        gens = [self.m] + [a for i, a in enumerate(self.apery, start=1) if not sums >> i & 1]
         return tuple(sorted(gens))
+
+    @cached_property
+    def _apery_sums(self) -> tuple[int, int]:
+        """One pass over the pairs j <= k with a_j + a_k = a_{j+k mod m}.
+
+        Returns bitmasks of (residues j + k that are such sums, residues j and
+        k used in one).  The minimal generators are m and the a_i with i not a
+        sum; a_i is maximal in the divisibility order (a_i - m
+        pseudo-Frobenius) iff i is in no sum.  The pass is O(m^2); it runs once
+        per semigroup and `generators` and `classify.pseudo_frobenius` both
+        read it.
+        """
+        a = (0,) + self.apery
+        m = self.m
+        sums, used = set(), set()
+        for j in range(1, m):
+            aj = a[j]
+            for k in range(j, m):
+                i = (j + k) % m
+                if i and aj + a[k] == a[i]:
+                    sums.add(i)
+                    used.add(j)
+                    used.add(k)
+        return _mask_of(sums), _mask_of(used)
 
     # ----- membership and order --------------------------------------------
 
@@ -231,28 +255,6 @@ def _closure_witness(gap_mask: int, top: int) -> tuple[int, int] | None:
 def _complement_closed(gap_mask: int, top: int) -> bool:
     """True iff no two non-gaps in [0, top] sum to a gap."""
     return _closure_witness(gap_mask, top) is None
-
-
-def _apery_sums(s: NumericalSemigroup) -> tuple[set[int], set[int]]:
-    """One pass over the pairs j <= k with a_j + a_k = a_{j+k mod m}.
-
-    Returns (residues j + k that are such sums, residues j and k used in one).
-    The minimal generators are m and the a_i with i not a sum; a_i is maximal
-    in the divisibility order (a_i - m pseudo-Frobenius) iff i is in no sum.
-    Uncached on purpose: callers cache their own results.
-    """
-    a = (0,) + s.apery
-    m = s.m
-    sums, used = set(), set()
-    for j in range(1, m):
-        aj = a[j]
-        for k in range(j, m):
-            i = (j + k) % m
-            if i and aj + a[k] == a[i]:
-                sums.add(i)
-                used.add(j)
-                used.add(k)
-    return sums, used
 
 
 def _from_gap_mask(gap_mask: int) -> NumericalSemigroup:

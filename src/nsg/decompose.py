@@ -569,15 +569,23 @@ def minimum_cover(full: int, masks, budget=None):
 
     Equal masks are merged (the first index wins) and dominated masks
     (subsets of another) discarded up front: taken by (-popcount, index), a
-    mask is dominated iff the AND over its bits of the per-bit bitsets of
-    kept masks is nonzero.  The search branches on the uncovered bit
+    mask is dominated iff the AND over its bits of the per-bit holder bitsets
+    of kept masks is nonzero.  The search branches on the uncovered bit
     contained in the fewest kept masks, ties to the lowest bit, with
-    iterative deepening on the cover size.  Two bounds cut only subtrees
-    without a cover, so the witness is the unbounded search's: with d >= 2
-    sets left a node stops when d times the most uncovered bits one kept
-    mask holds is below the uncovered count, and with one set left it scans
-    the branching bit's masks for one holding every uncovered bit instead
-    of recursing.
+    iterative deepening on the cover size.
+
+    The last two levels make no child calls.  One set covers alone only if
+    it equals `full`, which decides the round k = 1.  The kept masks holding
+    every bit of a set are the AND of its bits' holder bitsets, and the
+    lowest bit of that AND is the first mask a scan in kept order would
+    meet.  So a node with two sets left tries each mask holding the
+    branching bit in order, ANDs the holders of the uncovered bits it
+    misses, fewest holders first, and stops at the first nonzero AND.  With
+    d >= 3 sets left a node stops when d times the most uncovered bits one
+    kept mask holds is below the uncovered count.  Each cut removes only
+    subtrees without a cover, so (size, indices) are the unbounded search's.
+    The budget is ticked once per node and once for the round k = 1; the
+    nodes with two sets left are the leaves.
     """
     b = _budget(budget)
     first: dict[int, int] = {}
@@ -605,12 +613,21 @@ def minimum_cover(full: int, masks, budget=None):
 
     def dfs(uncovered, depth_left, chosen):
         b.tick()
-        e = next(e for e in order if uncovered >> e & 1)
-        if depth_left == 1:
-            for mk, idx in by_bit[e]:
-                if not uncovered & ~mk:
-                    return chosen + [idx]
+        if depth_left == 2:
+            rest = [x for x in order if uncovered >> x & 1]
+            # no first mask covers everything (see below), so each AND
+            # runs over at least one bit
+            for mk, idx in by_bit[rest[0]]:
+                both = -1
+                for x in rest:
+                    if not mk >> x & 1:
+                        both &= holders[x]
+                        if not both:
+                            break
+                else:
+                    return chosen + [idx, kept[(both & -both).bit_length() - 1][1]]
             return None
+        e = next(e for e in order if uncovered >> e & 1)
         if uncovered.bit_count() > depth_left * max((mk & uncovered).bit_count()
                                                     for mk, _ in kept):
             return None
@@ -624,7 +641,10 @@ def minimum_cover(full: int, masks, budget=None):
             chosen.pop()
         return None
 
-    for k in range(1, full.bit_count() + 1):
+    b.tick()  # round k = 1: only a mask equal to full covers on its own
+    if full in first:
+        return 1, [first[full]]
+    for k in range(2, full.bit_count() + 1):
         got = dfs(full, k, [])
         if got is not None:
             return k, got

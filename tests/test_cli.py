@@ -283,6 +283,22 @@ def test_bad_budget_or_threads_exits_2(capsys, monkeypatch, env, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("--budget", "x", "info", "3,5"), "--budget"),
+    (("--threads", "x", "info", "3,5"), "--threads"),
+    (("ordinary", "x"), "m"),
+    (("check", "x", "12", "--interval"), "m"),
+    (("check", "4", "x", "--interval"), "f_max"),
+    (("ordinary", "10", "--ell", "x"), "--ell"),
+])
+def test_non_integer_argument_exits_2_in_process(capsys, argv, name):
+    """argparse's rejections come back from main as exit 2 and one `error:`
+    line, like every other usage error; no SystemExit leaves main."""
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: argument {name}: invalid int value: 'x'\n"
+
+
 def test_zero_budget_is_valid_and_exits_4(capsys, monkeypatch):
     monkeypatch.delenv("NSG_BUDGET", raising=False)
     code, _, err = run(capsys, "--budget", "0", "info", "3,5")
@@ -336,14 +352,11 @@ def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
         ("--json", "verify-paper", "example-3.6"),
         ("info", "5,11,13,19"),
         ("--json", "decompose", "gaps:1,2,4"),
-        ("--json", "check", "4", "12"),  # usage error from argparse
+        ("--json", "check", "4", "12"),  # usage error from argparse, exit 2
     ]
     in_process = []
     for argv in sequence:
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(list(argv))
         out = capsys.readouterr()
         in_process.append((code, out.out))
 

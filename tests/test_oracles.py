@@ -367,6 +367,33 @@ def test_minimum_cover_vs_exhaustive_search():
         minimum_cover(0b0110, [0b0011, 0b1001])
 
 
+def test_minimum_cover_vs_unpruned_search_on_block_unions():
+    """Seeded instances on 20..40-bit universes with 30..120 masks, each a
+    union of 1..3 blocks of a random partition, some with one bit flipped
+    (possibly outside full).  Many masks tie on popcount and several hold
+    the same leftover bits, so the last two levels' holder ANDs have more
+    than one bit set; (size, indices) must be the unbounded search's."""
+    rng = random.Random(11)
+    sizes = Counter()
+    for _ in range(300):
+        n = rng.randint(20, 40)
+        full = (1 << n) - 1
+        cuts = sorted(rng.sample(range(1, n), rng.randint(5, 9)))
+        blocks = [(1 << b) - (1 << a) for a, b in zip([0] + cuts, cuts + [n])]
+        masks = []
+        for _ in range(rng.randint(30, 120)):
+            mk = 0
+            for blk in rng.sample(blocks, rng.randint(1, 3)):
+                mk |= blk
+            if rng.random() < 0.3:
+                mk ^= 1 << rng.randrange(n + 3)
+            masks.append(mk)
+        got = minimum_cover(full, masks)
+        assert got == ref_minimum_cover(full, masks), (full, masks)
+        sizes[got[0]] += 1
+    assert {2, 3, 4} <= set(sizes), sizes
+
+
 def test_minimum_cover_vs_unpruned_search_on_ordinary():
     """The atoms of H(m), m <= 44: the bounded search returns the unpruned
     search's size and indices, so the same witness."""

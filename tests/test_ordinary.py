@@ -6,6 +6,7 @@ from nsg import (Budget, D, H, I_irr, OutOfRange, PSEUDOSYMMETRIC, SYMMETRIC, T_
                  UndefinedValue, VALID_IRREDUNDANT, classify, d_family_lengths,
                  from_generators, is_decomposition, length_spectrum,
                  min_ordinary_length, n_min, special_gaps_of_ordinary, two_adic)
+from nsg.reference_data import ORDINARY_MIN_LENGTH
 
 
 def test_H_basics():
@@ -113,7 +114,7 @@ def test_min_ordinary_length_beats_family_at_28():
     # count; both pinned
     assert [list(c.generators) for c in witness.components] == [
         [2, 29], [4, 15, 17], [7, 11, 12, 17], [9, 10, 13, 16, 17, 21]]
-    assert budget.used == 352
+    assert budget.used == 330
 
 
 def test_min_ordinary_length_56_within_node_budget():
@@ -122,3 +123,26 @@ def test_min_ordinary_length_56_within_node_budget():
     budget = Budget(100_000)
     size, witness = min_ordinary_length(56, budget)
     assert size == witness.length == 4
+
+
+def test_min_ordinary_length_64_within_node_budget():
+    # H(64) takes about 69,000 nodes (atom tables included) because holder
+    # ANDs decide the last two cover levels; recursing to the last level
+    # needs over 1.3 million.  The witness is the unbounded search's.
+    budget = Budget(140_000)
+    size, witness = min_ordinary_length(64, budget)
+    assert size == witness.length == 5
+    assert [list(c.generators) for c in witness.components] == [
+        [2, 65], [5, 26, 34, 42], [8, 12, 29, 35, 39], [8, 19, 23, 34, 45, 49],
+        [15, 16, 21, 22, 23, 29, 49]]
+
+
+def test_min_ordinary_length_table():
+    """The checked-in min(m) table: recomputed for m <= 48, and for every m
+    within one of the family minimum except m = 56, and 6 only at m = 65."""
+    for m in range(4, 49):
+        assert min_ordinary_length(m)[0] == ORDINARY_MIN_LENGTH[m], m
+    assert sorted(ORDINARY_MIN_LENGTH) == list(range(4, 81))
+    assert [m for m, k in ORDINARY_MIN_LENGTH.items() if n_min(m) - k not in (0, 1)] == [56]
+    assert n_min(56) - ORDINARY_MIN_LENGTH[56] == 2
+    assert [m for m, k in ORDINARY_MIN_LENGTH.items() if k == 6] == [65]
