@@ -59,7 +59,7 @@ def special_gaps(s: NumericalSemigroup) -> frozenset[int]:
     by_pf = frozenset(x for x in pseudo_frobenius(s) if s.contains(2 * x))
     gm, full = s.gap_mask, (1 << (s.frobenius + 1)) - 1
     by_closure = set()
-    for x in core._bits(gm & ~(gm >> s.m)):  # gaps x with x + m in S
+    for x in (a - s.m for a in s.apery):  # the gaps x with x + m in S
         rest = gm & ~(1 << x)  # gaps of S u {x}
         # S is closed, so only sums involving x can land on a gap: one shift
         if not ((~rest & full) << x) & rest:

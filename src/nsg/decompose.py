@@ -6,9 +6,13 @@ with S, and special gaps a component misses -- are computed alongside and
 compared, never trusted alone.
 
 Irreducible oversemigroups ("atoms") have one source, `_atom_masks`: every
-irreducible T containing S has F(T) among the gaps of S, so the atoms are the
-per-Frobenius irreducible tables for f in gaps(S), filtered by containment.
-They stay gap *bitmasks* (bit x set iff x is a gap): the cover search, the
+irreducible T containing S has F(T) among the gaps of S, so the atoms come
+from one swap-move walk per gap f of S, filtered by containment.  The walk
+turns into gaps only those x in (f/2, f) that are gaps of S, which loses no
+T containing S because a move never takes a high gap back; it is cached on
+f and those allowed high gaps, and ticks the budget once per node.  Walking
+every high gap gives the full table (`irreducibles_with_frobenius`).  The
+atoms stay gap *bitmasks* (bit x set iff x is a gap): the cover search, the
 agreement-set sweep and `ordinary.min_ordinary_length` read miss sets and
 agreement sets off them and build semigroups only for witnesses and
 violations.  Both sweeps run through `_sweep`.  All enumerations are metered
@@ -20,7 +24,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import core
 from .classify import is_irreducible, special_gaps
@@ -54,9 +57,13 @@ def _budget(b) -> Budget:
 # irreducibles with a fixed Frobenius number
 
 
-@lru_cache(maxsize=None)
-def _irreducible_gapmasks_with_frobenius(f: int) -> tuple[int, ...]:
-    """Gap masks of every irreducible semigroup with Frobenius exactly f.
+#: walk results by (f, allowed high gaps); see _irreducible_gapmasks_with_frobenius
+_WALKS: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
+def _irreducible_gapmasks_with_frobenius(f: int, gaps: int = -1, budget=None) -> tuple[int, ...]:
+    """Sorted gap masks of the irreducible semigroups with Frobenius exactly f
+    whose gaps in (f/2, f) all lie in the mask `gaps`; by default, all of them.
 
     Seeded at the gap set {1..floor(f/2)} u {f} and closed under the swap
     move: remove a minimal generator g with f/2 < g < f and insert f - g.
@@ -65,17 +72,37 @@ def _irreducible_gapmasks_with_frobenius(f: int) -> tuple[int, ...]:
     Frobenius f is exactly irreducibility.  The parent's complement is
     closed and g is not a sum of two of its nonzero elements, so only sums
     involving the inserted element f - g can land on a gap: one shift.
+
+    Every irreducible T with Frobenius f is reached (Blanco and Rosales,
+    Forum Math. 2013), and a move turns one g in (f/2, f) into a gap and
+    touches nothing else above f/2, so along any path the set of high gaps
+    only grows.  Moving only g in `gaps` therefore reaches every T whose high
+    gaps lie in `gaps` and nothing else: when T contains S, passing
+    gaps(S) loses no T.  The result depends on f and the allowed high gaps
+    alone, which is the cache key, so the walks for all f < m of H(m) are
+    the full tables and shared with every other caller.
+
+    The budget is ticked once per node while walking, and by the size of
+    the result on a cache hit: the same count and the same point of failure
+    either way.  A walk the budget stops is not cached.
     """
     if f < 1:
         raise ValueError("Frobenius number must be positive")
-    full = (1 << (f + 1)) - 1
+    b = _budget(budget)
     low_half = (1 << (f // 2 + 1)) - 1  # x with 2x <= f
-    swappable = ((1 << f) - 1) & ~low_half  # g with f/2 < g < f
+    allowed = gaps & ((1 << f) - 1) & ~low_half  # movable g with f/2 < g < f
+    key = (f, allowed)
+    got = _WALKS.get(key)
+    if got is not None:
+        b.tick(len(got))
+        return got
+    full = (1 << (f + 1)) - 1
     seed = low_half & ~1 | (1 << f)
     seen = {seed}
     stack = [seed]
     while stack:
         gm = stack.pop()
+        b.tick()
         elems = ~gm & full & ~1
         # sums of two nonzero elements (elems * 2**x is elems shifted by x);
         # bits above f are never gaps
@@ -85,7 +112,7 @@ def _irreducible_gapmasks_with_frobenius(f: int) -> tuple[int, ...]:
             low = e & -e
             sums |= elems * low
             e ^= low
-        gens = elems & ~sums & swappable
+        gens = elems & ~sums & allowed
         while gens:
             g_bit = gens & -gens
             gens ^= g_bit
@@ -94,16 +121,14 @@ def _irreducible_gapmasks_with_frobenius(f: int) -> tuple[int, ...]:
             if cand not in seen and not ((elems ^ g_bit | 1 << h) << h) & cand:
                 seen.add(cand)
                 stack.append(cand)
-    return tuple(sorted(seen))
+    got = _WALKS[key] = tuple(sorted(seen))
+    return got
 
 
 def irreducibles_with_frobenius(f: int, budget=None) -> list[NumericalSemigroup]:
     """All irreducible numerical semigroups whose largest gap is exactly f."""
-    b = _budget(budget)
-    out = []
-    for gm in _irreducible_gapmasks_with_frobenius(f):
-        b.tick()
-        out.append(core._from_gap_mask(gm))
+    out = [core._from_gap_mask(gm)
+           for gm in _irreducible_gapmasks_with_frobenius(f, budget=budget)]
     out.sort(key=NumericalSemigroup.sort_key)
     return out
 
@@ -178,24 +203,27 @@ def miss_set(s: NumericalSemigroup, t: NumericalSemigroup) -> frozenset[int]:
 def _atom_masks(s: NumericalSemigroup, sg_mask: int, b: Budget) -> list[int]:
     """Gap masks of the irreducible T containing s that miss a special gap.
 
-    T contains s iff gaps(T) lie within gaps(s), so F(T) is a gap of s and T
-    sits in the table for that Frobenius number.  F <= 2g - 1 bounds the
-    tables by the genus.  The budget is ticked once per table entry scanned.
+    T contains s iff gaps(T) lie within gaps(s), so F(T) is a gap f of s and
+    every gap of T in (f/2, f) is a gap of s: T is in the walk for f that
+    moves only gaps of s (see `_irreducible_gapmasks_with_frobenius`), which
+    is then filtered by containment.  F <= 2g - 1 bounds the walks by the
+    genus.  Each walk is sorted, so the atoms come in the order of the full
+    per-Frobenius tables.  The budget is ticked once per walk node.
     """
-    outside = ~s.gap_mask
+    gaps = s.gap_mask
+    outside = ~gaps
     out = []
     for f in s.gaps:
-        table = _irreducible_gapmasks_with_frobenius(f)
-        b.tick(len(table))
-        out.extend(gm for gm in table if not gm & outside and gm & sg_mask)
+        walk = _irreducible_gapmasks_with_frobenius(f, gaps, b)
+        out.extend(gm for gm in walk if not gm & outside and gm & sg_mask)
     return out
 
 
 def irreducible_oversemigroups(s: NumericalSemigroup, budget=None) -> list[CoverAtom]:
     """All usable cover atoms: irreducible T containing s with nonempty miss set.
 
-    The atoms are the per-Frobenius irreducible tables for f in gaps(s),
-    filtered by containment (see `_atom_masks`), with mset read off the mask
+    The atoms are the swap-move walks for f in gaps(s), filtered by
+    containment (see `_atom_masks`), with mset read off the mask
     (see `_agree_mask`); the sweeps and `length_spectrum` use the masks alone.
     """
     b = _budget(budget)

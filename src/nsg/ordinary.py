@@ -178,8 +178,9 @@ def min_ordinary_length(m: int, budget=None) -> tuple[int, Decomposition]:
 
     The atoms come from `_atom_masks`, as in `length_spectrum`: every
     irreducible semigroup with Frobenius number below m contains H(m), so
-    they are all of its tables for F in 1..m-1 that miss a special gap; the
-    miss sets are their gap sets clipped to [m/2, m-1].
+    its walks are the full tables for F in 1..m-1, shared by every m, and
+    the atoms are the entries that miss a special gap; the miss sets are
+    their gap sets clipped to [m/2, m-1].
     """
     b = _budget(budget)
     hm = H(m)

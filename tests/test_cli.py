@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsg import cli
+from nsg import cli, decompose
 from nsg.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                      CliParseError, parse_semigroup)
 from nsg.core import VALUE_CAP, NumericalSemigroup
@@ -237,11 +238,60 @@ def test_budget_flag_exits_4(capsys):
 
 
 def test_budget_exceeded_reports_limit_plus_one(capsys):
-    # the atom tables are ticked a whole table at a time; the report still
+    # a cached atom walk is ticked a whole walk at a time; the report still
     # stops one node past the limit
     code, out, err = run(capsys, "--budget", "50", "ordinary", "20", "--min")
     assert code == EXIT_BUDGET and out == ""
     assert err == "error: enumeration budget exceeded: 51 > 50 nodes\n"
+
+
+def _budget_used(capsys, *argv):
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    return doc["stats"]["budget_used"]
+
+
+def test_budget_used_does_not_depend_on_cached_walks(capsys, monkeypatch):
+    """A walk ticks once per node and a cached walk ticks its size, and a
+    walk the budget stops is not cached: lengths and decompose use the same
+    nodes cold, warm, after a budget failure and in a fresh process."""
+    monkeypatch.delenv("NSG_BUDGET", raising=False)
+    spec = "10,19,21"
+    decompose._WALKS.clear()
+    cold = _budget_used(capsys, "lengths", spec)
+    used = [cold, _budget_used(capsys, "lengths", spec), _budget_used(capsys, "decompose", spec)]
+    decompose._WALKS.clear()
+    used.append(_budget_used(capsys, "decompose", spec))
+    decompose._WALKS.clear()
+    code, _, err = run(capsys, "--budget", str(cold // 2), "lengths", spec)
+    assert code == EXIT_BUDGET and f"{cold // 2 + 1} > {cold // 2}" in err
+    used.append(_budget_used(capsys, "lengths", spec))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for command in ("lengths", "decompose"):
+        fresh = subprocess.run([sys.executable, "-m", "nsg.cli", "--json", command, spec],
+                               env=env, capture_output=True, text=True, timeout=120)
+        used.append(json.loads(fresh.stdout)["stats"]["budget_used"])
+    assert used == [cold] * 7
+
+
+def test_large_atom_walk_stops_at_the_budget(capsys):
+    """The walks are metered while they run: a budget far below the ~491k
+    walk nodes of <11,27,32> stops it within seconds, not after the walk."""
+    decompose._WALKS.clear()
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "--budget", "100000", "lengths", "11,27,32")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: enumeration budget exceeded: 100001 > 100000 nodes\n"
+    assert time.perf_counter() - t0 < 30
+
+
+def test_large_atom_walk_answers_under_the_default_budget(capsys, monkeypatch):
+    monkeypatch.delenv("NSG_BUDGET", raising=False)
+    code, doc, _ = run_json(capsys, "lengths", "11,27,32")
+    assert code == EXIT_OK
+    assert doc["result"]["lengths"] == [2]
+    assert doc["stats"]["budget_used"] < 1_000_000
 
 
 @pytest.mark.parametrize("argv", [

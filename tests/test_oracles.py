@@ -9,17 +9,19 @@ exhaustive over small ranges.
 import random
 from collections import Counter
 from itertools import chain, combinations
+from math import gcd
 
 import pytest
 
-from nsg import (Budget, NotClosed, classify, from_gaps, intersect_all,
-                 irreducible_oversemigroups, irreducibles_with_frobenius,
+from nsg import (Budget, NotClosed, classify, from_gaps, from_generators,
+                 intersect_all, irreducible_oversemigroups, irreducibles_with_frobenius,
                  is_decomposition, is_irreducible, kunz_semigroups,
                  length_spectrum, minimum_cover, oversemigroups,
                  pseudo_frobenius, semigroups_up_to_genus, special_gaps, N,
                  PSEUDOSYMMETRIC, REDUCIBLE, SYMMETRIC, VALID_IRREDUNDANT)
 from nsg.core import _bits, _closure_witness, _complement_closed, _mask_of
-from nsg.decompose import _atom_masks, _cover_criteria
+from nsg.decompose import (_atom_masks, _cover_criteria,
+                           _irreducible_gapmasks_with_frobenius)
 from nsg.ordinary import H
 
 
@@ -297,6 +299,43 @@ def test_atoms_vs_oversemigroup_recursion():
         assert got == bf_atoms(s), s
 
 
+def random_semigroups(rng, count, f_max):
+    """`count` distinct semigroups of multiplicity 3..10 and Frobenius number
+    at most f_max, each generated by m and two to four larger integers."""
+    out = []
+    while len(out) < count:
+        m = rng.randint(3, 10)
+        gens = [m] + rng.sample(range(m + 1, 3 * m + 8), rng.randint(2, 4))
+        if gcd(*gens) != 1:
+            continue
+        s = from_generators(gens)
+        if s.frobenius <= f_max and s not in out:
+            out.append(s)
+    return out
+
+
+def test_atom_walks_vs_filtered_full_tables():
+    """The walk for f that moves only gaps of S is the full table for f cut
+    to the T whose gaps in (f/2, f) are gaps of S, in the table's order; so
+    the atoms are the containment-filtered full tables, in the same order.
+    Seeded random S with F <= 45 and every S of multiplicity 6 with F <= 18."""
+    rng = random.Random(12)
+    pool = random_semigroups(rng, 300, 45) + list(kunz_semigroups(6, 18))
+    assert max(s.frobenius for s in pool) >= 40
+    for s in pool:
+        gaps, outside = s.gap_mask, ~s.gap_mask
+        sg_mask = _mask_of(special_gaps(s))
+        want = []
+        for f in s.gaps:
+            high = ((1 << f) - 1) & ~((1 << (f // 2 + 1)) - 1)
+            table = _irreducible_gapmasks_with_frobenius(f)
+            assert list(table) == sorted(table), f
+            walk = _irreducible_gapmasks_with_frobenius(f, gaps, Budget())
+            assert walk == tuple(gm for gm in table if not gm & high & ~gaps), (s, f)
+            want.extend(gm for gm in table if not gm & outside and gm & sg_mask)
+        assert _atom_masks(s, sg_mask, Budget()) == want, s
+
+
 def test_closure_witness_vs_pair_scan():
     """On every subset of {1..12}: the mask kernel finds the pair scan's
     least pair, and from_gaps rejects exactly the subsets that have one."""
@@ -450,7 +489,6 @@ def test_irreducibles_with_frobenius_vs_brute_force():
 
 
 def test_irreducible_tables_vs_full_closure_swap_tree():
-    from nsg.decompose import _irreducible_gapmasks_with_frobenius
     for f in range(1, 51):
         assert set(_irreducible_gapmasks_with_frobenius(f)) == bf_swap_tree(f), f
 
@@ -512,7 +550,6 @@ def test_is_decomposition_agrees_with_brute_force_verdict():
 
 
 def test_spectrum_witnesses_again_verified_independently():
-    from nsg import from_generators
     for gens in ([6, 8, 13, 15, 17], [7, 15, 18, 24, 26, 34]):
         s = from_generators(gens)
         spec = length_spectrum(s)
