@@ -74,7 +74,7 @@ def add_special_gap(s: NumericalSemigroup, x: int) -> NumericalSemigroup:
     """The semigroup S u {x}, defined exactly when x is a special gap."""
     if s.m == 1 or x not in special_gaps(s):
         raise NotSpecialGap(f"{x} is not a special gap of {s}")
-    return core.from_gaps(s.gap_set - {x})
+    return core._from_gap_mask(s.gap_mask & ~(1 << x))
 
 
 @lru_cache(maxsize=None)

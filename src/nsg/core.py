@@ -3,10 +3,12 @@
 The canonical value is the pair (m, apery): the multiplicity together with
 the Apery vector a_1..a_{m-1} with respect to m, where a_i is the smallest
 element congruent to i mod m.  Gap sets and generating sets are derived
-views.  Membership, inclusion and intersection all reduce to coordinatewise
-arithmetic on the Apery vector, which is why this representation is canonical
-here.  `from_generators` finds it by shortest paths mod m; gap sets go
-through one linear bitmask builder and one closure kernel.
+views: the gaps are the residue runs i, i + m, ..., a_i - m.  Membership is
+one comparison with an Apery coordinate; inclusion and intersection work on
+gap bitmasks (bit x set iff x is a gap).  `from_generators` finds the Apery
+vector by shortest paths mod m.  Gap masks go through one linear bitmask
+builder, one closure kernel and one Apery kernel, `_apery_of`, which reads
+Ap(S; n) for any element n off a single shift of the element mask.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import chain, count, repeat
 from math import gcd, inf
 
 from .errors import LimitExceeded, NotClosed, NotCofinite, NotElement
@@ -67,9 +70,6 @@ class NumericalSemigroup:
 
     # ----- basic invariants -------------------------------------------------
 
-    def multiplicity(self) -> int:
-        return self.m
-
     @cached_property
     def frobenius(self) -> int:
         """Largest gap; -1 for the full semigroup, by convention."""
@@ -83,8 +83,9 @@ class NumericalSemigroup:
 
     @cached_property
     def gaps(self) -> tuple[int, ...]:
-        """Sorted tuple of all gaps."""
-        return tuple(x for x in range(1, self.frobenius + 1) if not self.contains(x))
+        """Sorted tuple of all gaps: the runs i, i + m, ..., a_i - m."""
+        runs = map(range, count(1), self.apery, repeat(self.m))  # range(i, a_i, m)
+        return tuple(sorted(chain.from_iterable(runs)))
 
     @cached_property
     def gap_set(self) -> frozenset[int]:
@@ -152,15 +153,10 @@ class NumericalSemigroup:
 
     def is_subset(self, other: "NumericalSemigroup") -> bool:
         """True iff every element of self lies in other."""
-        if self.m == other.m:
-            return all(b <= a for a, b in zip(self.apery, other.apery))
         return not other.gap_mask & ~self.gap_mask
 
     def intersect(self, other: "NumericalSemigroup") -> "NumericalSemigroup":
         """Intersection; its gap set is the union of the two gap sets."""
-        if self.m == other.m:
-            merged = tuple(max(a, b) for a, b in zip(self.apery, other.apery))
-            return NumericalSemigroup(self.m, merged)
         return _from_gap_mask(self.gap_mask | other.gap_mask)
 
     # ----- Apery sets with respect to arbitrary elements --------------------
@@ -168,20 +164,7 @@ class NumericalSemigroup:
     def apery_set(self, n: int) -> "AperySet":
         if n <= 0 or not self.contains(n):
             raise NotElement(f"{n} is not a nonzero element of the semigroup")
-        if n == self.m:
-            return AperySet(n, (0,) + self.apery)
-        mins: list[int | None] = [None] * n
-        mins[0] = 0
-        found = 1
-        x = 0
-        limit = self.frobenius + n + 1
-        while found < n and x <= limit:
-            x += 1
-            if mins[x % n] is None and self.contains(x):
-                mins[x % n] = x
-                found += 1
-        assert found == n, "Apery scan did not terminate; bug"
-        return AperySet(n, tuple(mins))  # type: ignore[arg-type]
+        return AperySet(n, tuple(_apery_of(self.gap_mask, n)))
 
     def elements_upto(self, bound: int) -> list[int]:
         """All elements in [0, bound]."""
@@ -252,6 +235,26 @@ def _closure_witness(gap_mask: int, top: int) -> tuple[int, int] | None:
     return None
 
 
+def _apery_of(gap_mask: int, n: int) -> list[int]:
+    """Ap(S; n) by residue mod n, where gap_mask holds the gaps of S and n is
+    a nonzero element of S.
+
+    x is in Ap(S; n) iff x is in S and x - n is not: the set bits of
+    elems & ~(elems << n).  All of them lie in [0, F + n], and they are read
+    off one '1'/'0' row with str.find, linear in F + n; peeling bits off
+    the integer one by one would cost a full-width operation per bit.
+    """
+    elems = ~gap_mask & ((1 << (gap_mask.bit_length() + n)) - 1)
+    row = bin(elems & ~(elems << n))[:1:-1]  # least significant bit first
+    find = row.find
+    ap = [0] * n
+    x = 0
+    for _ in range(1, n):
+        x = find("1", x + 1)
+        ap[x % n] = x
+    return ap
+
+
 def _complement_closed(gap_mask: int, top: int) -> bool:
     """True iff no two non-gaps in [0, top] sum to a gap."""
     return _closure_witness(gap_mask, top) is None
@@ -265,13 +268,7 @@ def _from_gap_mask(gap_mask: int) -> NumericalSemigroup:
     m = (~t & (t + 1)).bit_length() - 1  # least nonzero non-gap
     if m == 1:
         raise ValueError("1 cannot be an element alongside nonempty gaps")
-    apery = []
-    for i in range(1, m):
-        x = i
-        while gap_mask >> x & 1:
-            x += m
-        apery.append(x)
-    s = NumericalSemigroup(m, tuple(apery))
+    s = NumericalSemigroup(m, tuple(_apery_of(gap_mask, m)[1:]))
     s.__dict__["gap_mask"] = gap_mask  # fill the cached view
     return s
 

@@ -262,9 +262,8 @@ class DecompositionCheck:
     reason: str | None
     intersection: NumericalSemigroup
     #: None when the cover criteria do not apply (components not all
-    #: oversemigroups, or S is the full semigroup); otherwise whether the
-    #: miss-cover criteria agreed with the direct intersection.  A False here
-    #: is a reportable discrepancy, not silently resolved.
+    #: oversemigroups, or S is the full semigroup); otherwise True: a
+    #: disagreement with the direct intersection raises InternalAssertion.
     criteria_agree: bool | None
 
 
@@ -301,8 +300,8 @@ def is_decomposition(s: NumericalSemigroup, components) -> DecompositionCheck:
 
     Irredundancy is checked by recomputing the intersection with each
     component dropped.  The special-gap cover and private-gap criteria are
-    evaluated as a cross-check and any disagreement is surfaced in
-    `criteria_agree`.  All of it is linear in the number of components.
+    evaluated as a cross-check; a disagreement raises InternalAssertion.
+    All of it is linear in the number of components.
     """
     comps = tuple(components)
     if not comps:
@@ -315,23 +314,22 @@ def is_decomposition(s: NumericalSemigroup, components) -> DecompositionCheck:
     valid = inter == s
     masks = [c.gap_mask for c in comps]
     target = s.gap_mask
+    # irredundancy by dropping each component
+    redundant = [i for i, rest in enumerate(_others(masks)) if rest == target] if valid else []
 
     criteria_agree: bool | None = None
     if s.m != 1 and all(not mk & ~target for mk in masks):  # all oversemigroups
         cover_ok, cover_irr = _cover_criteria(masks, _mask_of(special_gaps(s)))
-        criteria_agree = (cover_ok == valid)
+        # validity through the miss cover, irredundancy through miss-set privates
+        criteria_agree = cover_ok == valid and (not valid or cover_irr == (not redundant))
+        if not criteria_agree:
+            raise InternalAssertion(
+                f"cover criteria disagree with the intersection on {s}: components "
+                f"{', '.join(map(str, comps))}")
 
     if not valid:
         return DecompositionCheck(INVALID, f"intersection is {inter}, not {s}",
                                   inter, criteria_agree)
-
-    # irredundancy by dropping each component
-    redundant = [i for i, rest in enumerate(_others(masks)) if rest == target]
-
-    if criteria_agree is not None:
-        # cross-check irredundancy through miss-set privates
-        criteria_agree = criteria_agree and (cover_irr == (not redundant))
-
     if redundant:
         return DecompositionCheck(
             VALID_REDUNDANT, f"components {redundant} are redundant", inter, criteria_agree)

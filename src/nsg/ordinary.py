@@ -117,8 +117,6 @@ class DFamily:
     ell: int
     components: tuple[NumericalSemigroup, ...]
     tags: tuple[tuple[str, int], ...]  # ("I", F) or ("T", g), aligned with components
-    J_prime: frozenset[int]
-    F_primes: dict  # j -> largest remaining special gap with 2-adic valuation j
 
     @property
     def length(self) -> int:
@@ -154,8 +152,7 @@ def D(m: int, ell: int) -> DFamily:
     for g in sg[:ell]:
         comps.append(T_irr(g))
         tags.append(("T", g))
-    fam = DFamily(m, ell, tuple(comps), tuple(tags),
-                  frozenset(f_primes), dict(sorted(f_primes.items())))
+    fam = DFamily(m, ell, tuple(comps), tuple(tags))
     check = is_decomposition(H(m), fam.components)
     if check.verdict != VALID_IRREDUNDANT:
         raise InternalAssertion(f"D({m},{ell}) failed verification: {check.verdict}")

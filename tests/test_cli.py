@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsg import cli, decompose
+from nsg import cli, decompose, from_generators, is_decomposition, length_spectrum
 from nsg.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                      CliParseError, parse_semigroup)
 from nsg.core import VALUE_CAP, NumericalSemigroup
@@ -122,6 +122,15 @@ def test_info_large_genus(capsys, spec, special, genus):
     assert r["classification"] == "symmetric"
 
 
+def test_info_large_reducible_answers_quickly(capsys):
+    """The reducibility witness of <1601,1602,1603> (F about 1.28M) adds two
+    special gaps as mask moves and reads each Apery vector in linear time."""
+    t0 = time.perf_counter()
+    code, doc, _ = run_json(capsys, "info", "1601,1602,1603")
+    assert code == EXIT_OK and doc["result"]["classification"] == "reducible"
+    assert time.perf_counter() - t0 < 30
+
+
 def test_info_parse_error_exits_2(capsys):
     code, out, err = run(capsys, "info", "5,x")
     assert code == EXIT_USAGE and "position" in err
@@ -142,6 +151,20 @@ def test_theory_violation_exits_5(capsys, monkeypatch, exc):
     assert code == EXIT_INTERNAL and out == "" and "postcondition failed" in err
     code, _, _ = run(capsys, "lengths", "5,x")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("wrong", [(False, True), (True, False)])
+def test_cover_criteria_disagreement_raises_and_exits_5(capsys, monkeypatch, wrong):
+    """A special-gap cover (or private-gap verdict) that contradicts the
+    direct intersection is a theory violation, not a verdict the callers
+    may drop."""
+    s = from_generators([5, 11, 13, 19])
+    comps = length_spectrum(s).witnesses[2].components
+    monkeypatch.setattr(decompose, "_cover_criteria", lambda masks, sg_mask: wrong)
+    with pytest.raises(InternalAssertion, match="cover criteria disagree"):
+        is_decomposition(s, comps)
+    code, out, err = run(capsys, "lengths", "5,11,13,19")
+    assert code == EXIT_INTERNAL and out == "" and "cover criteria disagree" in err
 
 
 def test_lengths(capsys):

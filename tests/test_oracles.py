@@ -13,19 +13,53 @@ from math import gcd
 
 import pytest
 
-from nsg import (Budget, NotClosed, classify, from_gaps, from_generators,
+from nsg import (Budget, NotClosed, NotElement, NotSpecialGap, add_special_gap,
+                 classify, from_gaps, from_generators,
                  intersect_all, irreducible_oversemigroups, irreducibles_with_frobenius,
                  is_decomposition, is_irreducible, kunz_semigroups,
                  length_spectrum, minimum_cover, oversemigroups,
                  pseudo_frobenius, semigroups_up_to_genus, special_gaps, N,
                  PSEUDOSYMMETRIC, REDUCIBLE, SYMMETRIC, VALID_IRREDUNDANT)
-from nsg.core import _bits, _closure_witness, _complement_closed, _mask_of
+from nsg.core import _bits, _closure_witness, _complement_closed, _from_gap_mask, _mask_of
 from nsg.decompose import (_atom_masks, _cover_criteria,
                            _irreducible_gapmasks_with_frobenius)
 from nsg.ordinary import H
 
 
 # ----- brute-force primitives ------------------------------------------------
+
+
+def ref_apery_of_gap_mask(gap_mask):
+    """(m, Apery vector) of a valid nonempty gap mask, one residue at a time:
+    a_i is the first non-gap among i, i + m, i + 2m, ..."""
+    t = gap_mask | 1
+    m = (~t & (t + 1)).bit_length() - 1
+    apery = []
+    for i in range(1, m):
+        x = i
+        while gap_mask >> x & 1:
+            x += m
+        apery.append(x)
+    return m, tuple(apery)
+
+
+def ref_apery_set(s, n):
+    """Ap(S; n) by scanning 1, 2, ... with one `contains` call per integer
+    until every residue mod n has its least element."""
+    mins = [None] * n
+    mins[0] = 0
+    found = x = 0
+    while found < n - 1:
+        x += 1
+        if mins[x % n] is None and s.contains(x):
+            mins[x % n] = x
+            found += 1
+    return tuple(mins)
+
+
+def ref_gaps(s):
+    """Gaps by one `contains` call per integer up to F."""
+    return tuple(x for x in range(1, s.frobenius + 1) if not s.contains(x))
 
 
 def bf_closed(gaps):
@@ -334,6 +368,71 @@ def test_atom_walks_vs_filtered_full_tables():
             assert walk == tuple(gm for gm in table if not gm & high & ~gaps), (s, f)
             want.extend(gm for gm in table if not gm & outside and gm & sg_mask)
         assert _atom_masks(s, sg_mask, Budget()) == want, s
+
+
+def apery_pool():
+    """Seeded random S of multiplicity 2..12 and Frobenius number <= 60, built
+    by shortest paths mod m (so no gap mask is involved), with N and H(2..12)."""
+    rng = random.Random(13)
+    pool = []
+    for m in range(2, 13):
+        for _ in range(30):
+            gens = [m] + rng.sample(range(m + 1, 3 * m + 8), rng.randint(1, min(m, 5)))
+            if gcd(*gens) == 1:
+                s = from_generators(gens)
+                if s.frobenius <= 60 and s not in pool:
+                    pool.append(s)
+    assert max(s.frobenius for s in pool) >= 50 and {s.m for s in pool} == set(range(2, 13))
+    return pool + [N] + [H(m) for m in range(2, 13)]
+
+
+def test_apery_set_vs_contains_scan():
+    """Ap(S; n) for every nonzero element n <= F + m: the Apery kernel equals
+    the `contains` scan; a gap or 0 is rejected."""
+    for s in apery_pool():
+        top = max(s.frobenius + s.m, 12)
+        for n in range(top + 1):
+            if n and s.contains(n):
+                assert s.apery_set(n).elems == ref_apery_set(s, n), (s, n)
+            else:
+                with pytest.raises(NotElement):
+                    s.apery_set(n)
+
+
+def test_gaps_vs_contains_scan():
+    for s in apery_pool():
+        assert s.gaps == ref_gaps(s), s
+        assert s.gap_mask == _mask_of(ref_gaps(s)), s
+
+
+def test_from_gap_mask_vs_per_residue_loop():
+    """Every S of multiplicity 6 with F <= 18 and all of its cover atoms."""
+    count = 0
+    for s in kunz_semigroups(6, 18):
+        masks = [s.gap_mask] + _atom_masks(s, _mask_of(special_gaps(s)), Budget())
+        for gm in masks:
+            t = _from_gap_mask(gm)
+            assert (t.m, t.apery) == ref_apery_of_gap_mask(gm), gm
+            assert t.gaps == tuple(_bits(gm)), gm
+            count += 1
+    assert count > 1000
+
+
+def test_add_special_gap_vs_from_gaps():
+    """S u {x} as a mask move equals the validated from_gaps on gaps(S) - {x};
+    any other gap is refused."""
+    for s in chain(apery_pool(), kunz_semigroups(6, 18)):
+        if s.m == 1:
+            continue
+        sg = special_gaps(s)
+        for x in s.gaps:
+            if x in sg:
+                t = add_special_gap(s, x)
+                want = from_gaps(s.gap_set - {x})
+                assert t == want and t.gap_mask == want.gap_mask, (s, x)
+            else:
+                with pytest.raises(NotSpecialGap):
+                    add_special_gap(s, x)
 
 
 def test_closure_witness_vs_pair_scan():
