@@ -11,13 +11,12 @@ from .classify import (PSEUDOSYMMETRIC, REDUCIBLE, SYMMETRIC, IrreducibilityRepo
 from .constructions import M6CoverPair, m4_cover, m6_covers, m6_shorten
 from .core import (N, AperySet, NumericalSemigroup, from_gaps, from_generators,
                    intersect_all)
-from .decompose import (DEFAULT_BUDGET, Budget, CoverAtom, Decomposition,
-                        DecompositionCheck, INVALID, LengthSpectrum,
-                        VALID_IRREDUNDANT, VALID_REDUNDANT, check_interval,
-                        check_msbound, irreducible_oversemigroups,
+from .decompose import (DEFAULT_BUDGET, Budget, Decomposition, DecompositionCheck,
+                        INVALID, LengthSpectrum, VALID_IRREDUNDANT, VALID_REDUNDANT,
+                        check_interval, check_msbound, irreducible_oversemigroups,
                         irreducibles_with_frobenius, is_decomposition,
                         kunz_semigroups, length_spectrum, minimum_cover,
-                        miss_set, m_set, oversemigroups, semigroups_up_to_genus)
+                        miss_set, m_set, semigroups_up_to_genus)
 from .errors import (BudgetExceeded, FullSemigroup, InternalAssertion, LimitExceeded,
                      NotApplicable, NotClosed, NotCofinite, NotElement,
                      NotOversemigroup, NotSpecialGap, NsgError, OutOfRange,
@@ -29,7 +28,7 @@ from .ordinary import (D, DFamily, H, I_irr, T_irr, TwoAdicForm, d_family_length
 __version__ = "0.1.0"
 
 __all__ = [
-    "AperySet", "Budget", "BudgetExceeded", "CoverAtom", "D", "DEFAULT_BUDGET",
+    "AperySet", "Budget", "BudgetExceeded", "D", "DEFAULT_BUDGET",
     "DFamily", "Decomposition", "DecompositionCheck", "FullSemigroup", "H",
     "INVALID", "I_irr", "InternalAssertion", "IrreducibilityReport",
     "LengthSpectrum", "LimitExceeded", "M6CoverPair", "N", "NotApplicable",
@@ -43,6 +42,6 @@ __all__ = [
     "irreducibles_with_frobenius", "is_decomposition", "is_irreducible",
     "kunz_semigroups", "length_spectrum", "m4_cover", "m6_covers",
     "m6_shorten", "m_set", "min_ordinary_length", "minimum_cover", "miss_set",
-    "n_min", "oversemigroups", "pseudo_frobenius", "semigroups_up_to_genus",
+    "n_min", "pseudo_frobenius", "semigroups_up_to_genus",
     "special_gaps", "special_gaps_of_ordinary", "two_adic",
 ]

@@ -201,15 +201,15 @@ def m6_shorten(s: NumericalSemigroup, decomposition) -> Decomposition:
                     return Decomposition(cand)
         raise SearchFailed(f"no length-4 substitute found for {s}; this contradicts theory")
 
-    atoms = [a for a in irreducible_oversemigroups(s)
-             if 3 in a.mset and len(a.mset) <= 2]
+    atoms = [t for t in irreducible_oversemigroups(s)
+             if 3 in (ms := m_set(s, t)) and len(ms) <= 2]
     if not atoms:
         raise SearchFailed(
             f"no irreducible oversemigroup of {s} agrees at 3 with #mset <= 2")
     for prefer_alt in (False, True):
         pair = m6_covers(s, prefer_alt=prefer_alt)
         for atom in atoms:
-            cand = (pair.T, pair.T_prime, atom.T)
+            cand = (pair.T, pair.T_prime, atom)
             if len(set(cand)) < 3:
                 continue
             if is_decomposition(s, cand).verdict == VALID_IRREDUNDANT:

@@ -255,11 +255,6 @@ def _apery_of(gap_mask: int, n: int) -> list[int]:
     return ap
 
 
-def _complement_closed(gap_mask: int, top: int) -> bool:
-    """True iff no two non-gaps in [0, top] sum to a gap."""
-    return _closure_witness(gap_mask, top) is None
-
-
 def _from_gap_mask(gap_mask: int) -> NumericalSemigroup:
     """Build a semigroup from a gap mask already known to be valid (no closure check)."""
     if not gap_mask:

@@ -1,9 +1,11 @@
 """Oversemigroups, irreducible components, and decomposition-length spectra.
 
-Ground truth for "is this a decomposition" is always the direct intersection
-(gap-set union).  The cover criteria -- coordinates where a component agrees
-with S, and special gaps a component misses -- are computed alongside and
-compared, never trusted alone.
+Gap masks (bit x set iff x is a gap) are the one working form.  Ground
+truth for "is this a decomposition" is always the direct intersection, whose
+gap mask is the union of the components' masks; `is_decomposition` reads it
+and every leave-one-out union in one pass.  The cover criteria -- special
+gaps a component misses, and privately misses -- are computed separately
+and compared, never trusted alone.
 
 Irreducible oversemigroups ("atoms") have one source, `_atom_masks`: every
 irreducible T containing S has F(T) among the gaps of S, so the atoms come
@@ -12,11 +14,12 @@ turns into gaps only those x in (f/2, f) that are gaps of S, which loses no
 T containing S because a move never takes a high gap back; it is cached on
 f and those allowed high gaps, and ticks the budget once per node.  Walking
 every high gap gives the full table (`irreducibles_with_frobenius`).  The
-atoms stay gap *bitmasks* (bit x set iff x is a gap): the cover search, the
-agreement-set sweep and `ordinary.min_ordinary_length` read miss sets and
-agreement sets off them and build semigroups only for witnesses and
-violations.  Both sweeps run through `_sweep`.  All enumerations are metered
-by a node budget so runaway searches fail loudly and reproducibly.
+cover search, the agreement-set sweep and `ordinary.min_ordinary_length`
+read miss sets and agreement sets off the atom masks; semigroups are built
+only for witnesses, violations and `irreducible_oversemigroups`, whose
+callers receive them.  Both sweeps run through `_sweep`, and their shard
+totals count against one budget.  All enumerations are metered by a node
+budget so runaway searches fail loudly and reproducibly.
 """
 
 from __future__ import annotations
@@ -162,20 +165,6 @@ def oversemigroups(s: NumericalSemigroup, budget=None) -> list[NumericalSemigrou
     return sorted(seen.values(), key=NumericalSemigroup.sort_key)
 
 
-@dataclass(frozen=True)
-class CoverAtom:
-    """An irreducible oversemigroup T of S with the two cover views of it.
-
-    miss: special gaps of S absent from T (nonempty, else T is unusable in
-    any irredundant decomposition).  mset: Apery coordinates of S where T
-    agrees, with respect to m(S).
-    """
-
-    T: NumericalSemigroup
-    miss: frozenset[int]
-    mset: frozenset[int]
-
-
 def m_set(s: NumericalSemigroup, t: NumericalSemigroup) -> frozenset[int]:
     """Coordinates i in 1..m-1 with identical Apery minima in s and t (mod m(s))."""
     if not s.is_subset(t):
@@ -219,23 +208,20 @@ def _atom_masks(s: NumericalSemigroup, sg_mask: int, b: Budget) -> list[int]:
     return out
 
 
-def irreducible_oversemigroups(s: NumericalSemigroup, budget=None) -> list[CoverAtom]:
-    """All usable cover atoms: irreducible T containing s with nonempty miss set.
+def irreducible_oversemigroups(s: NumericalSemigroup, budget=None) -> list[NumericalSemigroup]:
+    """The irreducible T containing s that miss a special gap of s (the only
+    ones usable in an irredundant decomposition), sorted by `sort_key`.
 
-    The atoms are the swap-move walks for f in gaps(s), filtered by
-    containment (see `_atom_masks`), with mset read off the mask
-    (see `_agree_mask`); the sweeps and `length_spectrum` use the masks alone.
+    They are the swap-move walks for f in gaps(s), filtered by containment
+    (see `_atom_masks`).  A caller reads miss sets and agreement sets off
+    their gap masks: `gap_mask & sg_mask` and `gap_mask & _agree_mask(s)`,
+    which are `miss_set` and, reduced mod m, `m_set`.
     """
     b = _budget(budget)
     if s.m == 1:
         return []
-    sg_mask = _mask_of(special_gaps(s))
-    agree = _agree_mask(s)
-    atoms = [CoverAtom(core._from_gap_mask(gm), frozenset(_bits(gm & sg_mask)),
-                       frozenset(x % s.m for x in _bits(gm & agree)))
-             for gm in _atom_masks(s, sg_mask, b)]
-    atoms.sort(key=lambda a: a.T.sort_key())
-    return atoms
+    atoms = map(core._from_gap_mask, _atom_masks(s, _mask_of(special_gaps(s)), b))
+    return sorted(atoms, key=NumericalSemigroup.sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +284,27 @@ def _cover_criteria(masks: list[int], sg_mask: int) -> tuple[bool, bool]:
 def is_decomposition(s: NumericalSemigroup, components) -> DecompositionCheck:
     """Verdict on S = T_1 n ... n T_k, by direct intersection.
 
-    Irredundancy is checked by recomputing the intersection with each
-    component dropped.  The special-gap cover and private-gap criteria are
-    evaluated as a cross-check; a disagreement raises InternalAssertion.
-    All of it is linear in the number of components.
+    The intersection's gap set is the union of the components' gap masks.
+    One pass gives that union and every union with one component left out,
+    which decides irredundancy; a semigroup is built for the intersection
+    only when it is not S.  The special-gap cover and private-gap criteria
+    are evaluated separately as a cross-check; a disagreement raises
+    InternalAssertion.  All of it is linear in the number of components.
     """
     comps = tuple(components)
     if not comps:
         return DecompositionCheck(INVALID, "no components", N, None)
+    masks = [c.gap_mask for c in comps]
+    rests = _others(masks)
+    union = rests[0] | masks[0]
+    target = s.gap_mask
+    valid = union == target
+    inter = s if valid else core._from_gap_mask(union)
     for c in comps:
         if not is_irreducible(c):
-            return DecompositionCheck(INVALID, f"component {c} is not irreducible",
-                                      core.intersect_all(comps), None)
-    inter = core.intersect_all(comps)
-    valid = inter == s
-    masks = [c.gap_mask for c in comps]
-    target = s.gap_mask
+            return DecompositionCheck(INVALID, f"component {c} is not irreducible", inter, None)
     # irredundancy by dropping each component
-    redundant = [i for i, rest in enumerate(_others(masks)) if rest == target] if valid else []
+    redundant = [i for i, rest in enumerate(rests) if rest == target] if valid else []
 
     criteria_agree: bool | None = None
     if s.m != 1 and all(not mk & ~target for mk in masks):  # all oversemigroups
@@ -375,11 +364,8 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
     by_miss: dict[int, list[int]] = {}
     for gm in _atom_masks(s, full, b):
         by_miss.setdefault(gm & full, []).append(gm)
-    # canonical order: by smallest missed gap, then lexicographic on the set
-    def canon(key):
-        xs = tuple(_bits(key))
-        return (xs[0], xs)
-    sets = sorted(by_miss, key=canon)
+    # canonical order: lexicographic on the sorted miss set
+    sets = sorted(by_miss, key=lambda key: tuple(_bits(key)))
 
     nsets = len(sets)
     suffix_union = [0] * (nsets + 1)
@@ -487,9 +473,11 @@ def _shard(args):
 def _sweep(fn, m: int, f_max: int, budget, threads: int) -> list[tuple]:
     """Apply fn to every semigroup of multiplicity m with F <= f_max.
 
-    Shards split on a_1.  Each gets a fresh Budget with the full limit; the
-    nodes they used are only added to `budget` afterwards.  At most
-    min(threads, shards, CPUs) worker processes are started, none for one.
+    Shards split on a_1.  Each gets a fresh Budget with the full limit, and
+    the nodes each used are then ticked into `budget` in a_1 order, so the
+    sweep as a whole stops at the limit, with the same error serial or
+    parallel.  At most min(threads, shards, CPUs) worker processes are
+    started, none for one.
     Rows come back in a_1 order, as a serial run gives them.
     """
     b = _budget(budget)
@@ -504,7 +492,7 @@ def _sweep(fn, m: int, f_max: int, budget, threads: int) -> list[tuple]:
     rows = []
     for shard_rows, used in results:
         rows.extend(shard_rows)
-        b.used += used
+        b.tick(used)
     return rows
 
 

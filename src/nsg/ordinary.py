@@ -69,24 +69,21 @@ def two_adic(f: int) -> TwoAdicForm:
 def I_irr(f: int) -> NumericalSemigroup:
     """The 2-adically pruned irreducible component with Frobenius f.
 
-    Start from multiples of 2^{j+1} added to the tail semigroup, then remove
-    2^j, 3*2^j, ..., f.  For odd f this is just the semigroup generated by
-    2 and f + 2.  Postconditions verified here: Frobenius exactly f,
-    symmetric iff j = 0 (else pseudosymmetric), and within (f/2, f] the
-    elements are exactly the values not congruent to 2^j mod 2^{j+1}.
+    Its gaps are the x <= f/2 not divisible by 2^{j+1} and the x in
+    (f/2, f] congruent to 2^j mod 2^{j+1}: the tail semigroup with the
+    multiples of 2^{j+1} added below f/2 and 2^j, 3*2^j, ..., f removed.
+    For odd f this is just the semigroup generated by 2 and f + 2.
+    Postconditions verified here: Frobenius exactly f, symmetric iff j = 0
+    (else pseudosymmetric), and within (f/2, f] the elements are exactly the
+    values not congruent to 2^j mod 2^{j+1}.
     """
     if f < 1:
         raise OutOfRange("Frobenius number must be positive")
     j = two_adic(f).j
     step = 1 << (j + 1)
-    tail = T_irr(f)
-    elems = set()
-    for t in tail.elements_upto(f + 1):
-        for a in range(0, f + 2 - t, step):
-            elems.add(t + a)
-    removed = set(range(1 << j, f + 1, step))
-    elems -= removed
-    gaps = set(range(1, f + 1)) - elems
+    half = f // 2
+    gaps = [x for x in range(1, half + 1) if x % step]
+    gaps += [x for x in range(1 << j, f + 1, step) if x > half]
     s = core.from_gaps(gaps)
 
     if s.frobenius != f:
@@ -140,10 +137,8 @@ def D(m: int, ell: int) -> DFamily:
         raise OutOfRange(f"ell must lie in [0, {len(sg)}]")
     tail_gaps = sg[ell:]
     f_primes: dict[int, int] = {}
-    for g in tail_gaps:
-        j = two_adic(g).j
-        if j not in f_primes:  # sg is descending, first hit is the max
-            f_primes[j] = g
+    for g in tail_gaps:  # sg is descending, so the first g per j is the max
+        f_primes.setdefault(two_adic(g).j, g)
     comps: list[NumericalSemigroup] = []
     tags: list[tuple[str, int]] = []
     for j in sorted(f_primes, reverse=True):

@@ -224,7 +224,7 @@ def test_09_oracle_equivalences():
                 continue
             atoms = irreducible_oversemigroups(s, budget)
             got = length_spectrum(s, budget).lengths
-            want = _bf_spectrum(s, [a.T.gap_mask for a in atoms],
+            want = _bf_spectrum(s, [t.gap_mask for t in atoms],
                                 len(special_gaps(s)))
             if got != want:
                 ok, detail = False, f"spectrum differs on {s}: {got} vs {want}"
@@ -240,10 +240,10 @@ def test_09_oracle_equivalences():
             for k in range(1, min(4, len(atoms)) + 1):
                 for sub in combinations(atoms, k):
                     union = 0
-                    for a in sub:
-                        union |= a.T.gap_mask
+                    for t in sub:
+                        union |= t.gap_mask
                     by_intersection = union == s.gap_mask
-                    by_cover = all(any(x in a.miss for a in sub) for x in sg)
+                    by_cover = all(any(not t.contains(x) for t in sub) for x in sg)
                     if by_intersection != by_cover:
                         ok, detail = False, f"criteria split on {s}"
                         break

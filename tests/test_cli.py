@@ -317,6 +317,21 @@ def test_large_atom_walk_answers_under_the_default_budget(capsys, monkeypatch):
     assert doc["stats"]["budget_used"] < 1_000_000
 
 
+def test_sweep_budget_counts_every_shard(capsys):
+    """Each shard's nodes are ticked into the one budget: `check 8 22`
+    (79,919 nodes over its shards) exits 4 under 50,000 with the same error
+    serial or parallel, and answers under exactly its own count."""
+    errs = []
+    for threads in ("1", "2"):
+        code, out, err = run(capsys, "--json", "--budget", "50000", "--threads", threads,
+                             "check", "8", "22", "--interval")
+        assert code == EXIT_BUDGET and out == ""
+        errs.append(err)
+    assert errs == ["error: enumeration budget exceeded: 50001 > 50000 nodes\n"] * 2
+    code, doc, _ = run_json(capsys, "--budget", "79919", "check", "8", "22", "--interval")
+    assert code == EXIT_OK and doc["stats"]["budget_used"] == 79919
+
+
 @pytest.mark.parametrize("argv", [
     ("info", "2,1099511627775"),  # genus 2**39 - 1
     ("lengths", "3,412316860417,412316860418"),  # reducible, genus about 2**38

@@ -6,9 +6,10 @@ from nsg import (Budget, BudgetExceeded, INVALID, N, VALID_IRREDUNDANT,
                  VALID_REDUNDANT, check_interval, check_msbound, from_gaps,
                  from_generators, irreducible_oversemigroups,
                  irreducibles_with_frobenius, is_decomposition, kunz_semigroups,
-                 length_spectrum, m_set, minimum_cover, miss_set, oversemigroups,
+                 length_spectrum, m_set, minimum_cover, miss_set,
                  semigroups_up_to_genus, special_gaps)
-from nsg.core import _mask_of
+from nsg.core import _bits, _mask_of
+from nsg.decompose import _agree_mask, oversemigroups
 
 
 # counts of irreducible semigroups by Frobenius number, cross-checked against
@@ -221,17 +222,23 @@ def test_minimum_cover():
 def test_irreducible_oversemigroups_atoms():
     s = from_generators([5, 12, 13, 14, 16])
     atoms = irreducible_oversemigroups(s)
+    assert atoms == sorted(atoms, key=lambda t: t.sort_key())
     sg = special_gaps(s)
-    for a in atoms:
-        assert s.is_subset(a.T)
-        assert a.miss and a.miss <= sg
-        assert a.miss == miss_set(s, a.T)
-        assert a.mset == m_set(s, a.T)
-    # the mask-derived agreement set against the Apery-set definition
+    sg_mask = _mask_of(sg)
+    for t in atoms:
+        assert s.is_subset(t)
+        miss = frozenset(_bits(t.gap_mask & sg_mask))
+        assert miss and miss <= sg
+        assert miss == miss_set(s, t)
+    # the mask reads of the miss and agreement sets against their definitions
     n = 0
     for m, f_max in ((6, 24), (7, 21), (5, 30)):
         for s in kunz_semigroups(m, f_max):
-            for a in irreducible_oversemigroups(s):
-                assert a.mset == m_set(s, a.T)
+            sg_mask = _mask_of(special_gaps(s))
+            agree = _agree_mask(s)
+            for t in irreducible_oversemigroups(s):
+                gm = t.gap_mask
+                assert frozenset(_bits(gm & sg_mask)) == miss_set(s, t)
+                assert frozenset(x % m for x in _bits(gm & agree)) == m_set(s, t)
                 n += 1
     assert n == 13907

@@ -17,13 +17,13 @@ from nsg import (Budget, NotClosed, NotElement, NotSpecialGap, add_special_gap,
                  classify, from_gaps, from_generators,
                  intersect_all, irreducible_oversemigroups, irreducibles_with_frobenius,
                  is_decomposition, is_irreducible, kunz_semigroups,
-                 length_spectrum, minimum_cover, oversemigroups,
+                 length_spectrum, minimum_cover,
                  pseudo_frobenius, semigroups_up_to_genus, special_gaps, N,
                  PSEUDOSYMMETRIC, REDUCIBLE, SYMMETRIC, VALID_IRREDUNDANT)
-from nsg.core import _bits, _closure_witness, _complement_closed, _from_gap_mask, _mask_of
+from nsg.core import _bits, _closure_witness, _from_gap_mask, _mask_of
 from nsg.decompose import (_atom_masks, _cover_criteria,
-                           _irreducible_gapmasks_with_frobenius)
-from nsg.ordinary import H
+                           _irreducible_gapmasks_with_frobenius, oversemigroups)
+from nsg.ordinary import H, I_irr, T_irr
 
 
 # ----- brute-force primitives ------------------------------------------------
@@ -180,7 +180,7 @@ def bf_swap_tree(f):
             if 2 * g <= f or g >= f or g in sums:
                 continue
             cand = (gm & ~(1 << (f - g))) | (1 << g)
-            if cand not in seen and _complement_closed(cand, f):
+            if cand not in seen and _closure_witness(cand, f) is None:
                 assert cand & ~full == 0
                 seen.add(cand)
                 stack.append(cand)
@@ -274,8 +274,8 @@ def ref_spectrum_witnesses(s):
     is expanded, and each length keeps the first cover met."""
     sg_mask = _mask_of(special_gaps(s))
     by_miss = {}
-    for a in irreducible_oversemigroups(s, Budget(50_000_000)):
-        by_miss.setdefault(a.T.gap_mask & sg_mask, []).append(a.T)
+    for t in irreducible_oversemigroups(s, Budget(50_000_000)):
+        by_miss.setdefault(t.gap_mask & sg_mask, []).append(t)
     sets = sorted(by_miss, key=lambda key: (min(_bits(key)), tuple(_bits(key))))
     nsets = len(sets)
     suffix_union = [0] * (nsets + 1)
@@ -306,6 +306,19 @@ def ref_spectrum_witnesses(s):
             for k in sorted(found)}
 
 
+def ref_I_irr_gaps(f):
+    """Gap set of the pruned component I(f), built from element sets: every
+    element of the tail semigroup T(f) plus multiples of 2^{j+1}, with
+    2^j, 3*2^j, ..., f removed."""
+    step = 1 << ((f & -f).bit_length())  # 2^{j+1}, 2^j exactly dividing f
+    elems = set()
+    for t in T_irr(f).elements_upto(f + 1):
+        for a in range(0, f + 2 - t, step):
+            elems.add(t + a)
+    elems -= set(range(step // 2, f + 1, step))
+    return set(range(1, f + 1)) - elems
+
+
 def bf_cover_criteria(s, comps):
     """Cover and private-gap criteria by membership tests, quadratic in the
     number of components: every special gap is missed by some component, and
@@ -329,7 +342,7 @@ def test_atoms_vs_oversemigroup_recursion():
     for s in pool:
         if s.m == 1:
             continue
-        got = {a.T.gap_set for a in irreducible_oversemigroups(s)}
+        got = {t.gap_set for t in irreducible_oversemigroups(s)}
         assert got == bf_atoms(s), s
 
 
@@ -459,7 +472,7 @@ def test_special_gaps_vs_from_gaps_per_gap():
             continue
         assert special_gaps(s) == bf_special_gaps(s), s
         for x in s.gaps:
-            closed = _complement_closed(s.gap_mask & ~(1 << x), s.frobenius)
+            closed = _closure_witness(s.gap_mask & ~(1 << x), s.frobenius) is None
             assert closed == (x in special_gaps(s)), (s, x)
 
 
@@ -554,6 +567,11 @@ def test_spectrum_witnesses_vs_unpruned_search():
         assert got == ref_spectrum_witnesses(s), s
 
 
+def test_I_irr_closed_form_vs_element_sets():
+    for f in range(1, 301):
+        assert I_irr(f).gap_set == ref_I_irr_gaps(f), f
+
+
 def test_cover_kernels_vs_quadratic_formulas():
     """On every subset of at most 4 atoms of each genus <= 6 semigroup, the
     linear mask kernels give the quadratic formulas' answers, special gaps of
@@ -565,7 +583,7 @@ def test_cover_kernels_vs_quadratic_formulas():
         if s.m == 1 or is_irreducible(s):
             continue
         sg_mask = _mask_of(special_gaps(s))
-        atoms = [a.T for a in irreducible_oversemigroups(s)]
+        atoms = irreducible_oversemigroups(s)
         for k in range(1, min(4, len(atoms)) + 1):
             for sub in combinations(atoms, k):
                 masks = [t.gap_mask for t in sub]
@@ -610,7 +628,7 @@ def test_spectrum_vs_brute_force_small_genus():
     for s in semigroups_up_to_genus(7):
         if s.m == 1 or is_irreducible(s):
             continue
-        atoms = [a.T for a in irreducible_oversemigroups(s)]
+        atoms = irreducible_oversemigroups(s)
         assert length_spectrum(s, budget).lengths == bf_spectrum(s, atoms), s
 
 
@@ -625,10 +643,10 @@ def test_cover_criterion_vs_intersection_small_subsets():
         for k in range(1, min(4, len(atoms)) + 1):
             for sub in combinations(atoms, k):
                 union = frozenset()
-                for a in sub:
-                    union |= a.T.gap_set
+                for t in sub:
+                    union |= t.gap_set
                 by_intersection = union == s.gap_set
-                by_cover = all(any(x in a.miss for a in sub) for x in sg)
+                by_cover = all(any(not t.contains(x) for t in sub) for x in sg)
                 assert by_intersection == by_cover, (s, sub)
 
 
@@ -636,7 +654,7 @@ def test_is_decomposition_agrees_with_brute_force_verdict():
     for s in semigroups_up_to_genus(6):
         if s.m == 1 or is_irreducible(s):
             continue
-        atoms = [a.T for a in irreducible_oversemigroups(s)]
+        atoms = irreducible_oversemigroups(s)
         for k in (2, 3):
             for sub in combinations(atoms, k):
                 check = is_decomposition(s, sub)
@@ -644,6 +662,7 @@ def test_is_decomposition_agrees_with_brute_force_verdict():
                 for t in sub:
                     union |= t.gap_set
                 assert (check.verdict != "invalid") == (union == s.gap_set)
+                assert check.intersection.gap_mask == _mask_of(union)
                 if check.criteria_agree is not None:
                     assert check.criteria_agree
 
