@@ -17,9 +17,9 @@ every high gap gives the full table (`irreducibles_with_frobenius`).  The
 cover search, the agreement-set sweep and `ordinary.min_ordinary_length`
 read miss sets and agreement sets off the atom masks; semigroups are built
 only for witnesses, violations and `irreducible_oversemigroups`, whose
-callers receive them.  Both sweeps run through `_sweep`, and their shard
-totals count against one budget.  All enumerations are metered by a node
-budget so runaway searches fail loudly and reproducibly.
+callers receive them.  Both sweeps stride one ordered stream across the
+workers of `_sweep`, whose totals count against one budget.  All enumerations
+are metered by a node budget so runaway searches fail loudly and reproducibly.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import core
 from .classify import is_irreducible, special_gaps
@@ -51,9 +52,7 @@ class Budget:
 
 
 def _budget(b) -> Budget:
-    if isinstance(b, Budget):
-        return b
-    return Budget(DEFAULT_BUDGET if b is None else int(b))
+    return b if isinstance(b, Budget) else Budget()
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +424,12 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
 # exhaustive sweeps in Kunz coordinates
 
 
-def kunz_semigroups(m: int, f_max: int, first: int | None = None):
+def kunz_semigroups(m: int, f_max: int):
     """All semigroups with multiplicity m and Frobenius number at most f_max.
 
     Coordinates a_i run over {m+i, 2m+i, ...} bounded by f_max + m, with the
     Apery inequalities checked incrementally as each coordinate is placed.
-    `first` pins a_1, which is how sweeps shard across workers.
+    The order depends on (m, f_max) alone, so sweeps can stride it.
     """
     if m < 2:
         raise ValueError("multiplicity must be at least 2")
@@ -441,8 +440,7 @@ def kunz_semigroups(m: int, f_max: int, first: int | None = None):
         if i == m:
             yield NumericalSemigroup(m, tuple(a[1:]))
             return
-        choices = range(m + i, hi + 1, m) if not (i == 1 and first is not None) else [first]
-        for v in choices:
+        for v in range(m + i, hi + 1, m):
             a[i] = v
             ok = True
             for j in range(1, i + 1):
@@ -464,34 +462,35 @@ def kunz_semigroups(m: int, f_max: int, first: int | None = None):
 
 
 def _shard(args):
-    """Rows (apery, fn(s, budget)) for every s of one a_1 value, and the nodes used."""
-    fn, m, f_max, first, limit = args
+    """Rows (apery, fn(s, budget)) for stream positions w, w + n, ..., and the nodes used."""
+    fn, m, f_max, w, n, limit = args
     b = Budget(limit)
-    return [(s.apery, fn(s, b)) for s in kunz_semigroups(m, f_max, first=first)], b.used
+    return [(s.apery, fn(s, b)) for s in islice(kunz_semigroups(m, f_max), w, None, n)], b.used
 
 
 def _sweep(fn, m: int, f_max: int, budget, threads: int) -> list[tuple]:
     """Apply fn to every semigroup of multiplicity m with F <= f_max.
 
-    Shards split on a_1.  Each gets a fresh Budget with the full limit, and
-    the nodes each used are then ticked into `budget` in a_1 order, so the
-    sweep as a whole stops at the limit, with the same error serial or
-    parallel.  At most min(threads, shards, CPUs) worker processes are
-    started, none for one.
-    Rows come back in a_1 order, as a serial run gives them.
+    Worker w of N = min(threads, CPUs) takes positions w, w + N, ... of
+    `kunz_semigroups(m, f_max)`, and rows come back in that order; N = 1
+    runs in process, with no pool.
+    Each worker gets a fresh Budget with the full limit, and the nodes each
+    used are then ticked into `budget` in worker order.  So a serial sweep
+    stops at the limit and a parallel one after at most N x limit nodes,
+    both with the same error.
     """
     b = _budget(budget)
-    jobs = [(fn, m, f_max, a1, b.limit) for a1 in range(m + 1, f_max + m + 1, m)]
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
+    n = max(1, min(threads, os.cpu_count() or 1))
+    jobs = [(fn, m, f_max, w, n, b.limit) for w in range(n)]
+    if n > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        with ProcessPoolExecutor(max_workers=n) as ex:
             results = list(ex.map(_shard, jobs))
     else:
         results = [_shard(j) for j in jobs]
-    rows = []
-    for shard_rows, used in results:
-        rows.extend(shard_rows)
+    rows = [None] * sum(len(shard_rows) for shard_rows, _ in results)
+    for w, (shard_rows, used) in enumerate(results):
+        rows[w::n] = shard_rows
         b.tick(used)
     return rows
 

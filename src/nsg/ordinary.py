@@ -135,15 +135,15 @@ def D(m: int, ell: int) -> DFamily:
     sg = special_gaps_of_ordinary(m)
     if not 0 <= ell <= len(sg):
         raise OutOfRange(f"ell must lie in [0, {len(sg)}]")
-    tail_gaps = sg[ell:]
-    f_primes: dict[int, int] = {}
-    for g in tail_gaps:  # sg is descending, so the first g per j is the max
-        f_primes.setdefault(two_adic(g).j, g)
+    # tail gaps are [lo, top]; per j, the largest odd multiple of 2^j <= top
+    top, lo = m - 1 - ell, (m + 1) // 2
     comps: list[NumericalSemigroup] = []
     tags: list[tuple[str, int]] = []
-    for j in sorted(f_primes, reverse=True):
-        comps.append(I_irr(f_primes[j]))
-        tags.append(("I", f_primes[j]))
+    for j in range(top.bit_length() - 1, -1, -1):
+        f = ((top >> j) - 1 | 1) << j
+        if f >= lo:
+            comps.append(I_irr(f))
+            tags.append(("I", f))
     for g in sg[:ell]:
         comps.append(T_irr(g))
         tags.append(("T", g))

@@ -127,14 +127,6 @@ def test_kunz_semigroups_counts_and_validity():
     assert len(all_) == len(set(all_))
 
 
-def test_kunz_semigroups_sharding_partitions():
-    whole = sorted(kunz_semigroups(5, 16), key=lambda s: s.sort_key())
-    shards = []
-    for a1 in range(6, 22, 5):
-        shards.extend(kunz_semigroups(5, 16, first=a1))
-    assert sorted(shards, key=lambda s: s.sort_key()) == whole
-
-
 def test_check_interval_small():
     rep = check_interval(4, 14)
     assert rep.total == 37
@@ -159,11 +151,11 @@ def test_check_msbound_threads_match_serial():
     _assert_threads_match_serial(check_msbound, 6, 20)
 
 
-def test_sweep_workers_capped_by_cpus_and_shards(monkeypatch):
-    """--threads asks for workers, but no more are started than there are
-    CPUs or shards; the fake pool maps serially and starts no process."""
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replaces ProcessPoolExecutor with a pool that maps serially and
+    starts no process; returns the max_workers of every pool made."""
     import concurrent.futures
-    import os
 
     started = []
 
@@ -181,12 +173,54 @@ def test_sweep_workers_capped_by_cpus_and_shards(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+def test_sweep_workers_capped_by_threads_and_cpus(fake_pool):
+    """--threads asks for workers, but no more are started than there are
+    CPUs, and none for one."""
+    import os
+
     serial = check_interval(5, 14)
     capped = check_interval(5, 14, threads=10**6)
     assert capped == serial
-    shards = 3  # a_1 in 6, 11, 16
     cpus = os.cpu_count() or 1
-    assert started == ([min(shards, cpus)] if cpus > 1 else [])
+    assert fake_pool == ([cpus] if cpus > 1 else [])
+
+
+@pytest.mark.parametrize("cpus", [3, 4])
+def test_strided_sweep_matches_serial(fake_pool, monkeypatch, cpus):
+    """Worker w of N takes every N-th semigroup from the w-th on; the 275
+    semigroups of (6, 20) give slices of unequal length for N = 3 and 4, and
+    the rows still merge back in serial order, with the same nodes."""
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    for check, m, f_max in ((check_interval, 5, 14), (check_msbound, 6, 20)):
+        b_serial, b_strided = Budget(), Budget()
+        serial = check(m, f_max, b_serial)
+        strided = check(m, f_max, b_strided, threads=cpus + 1)
+        assert strided == serial
+        assert b_strided.used == b_serial.used > 0
+    assert fake_pool == [cpus, cpus]
+
+
+def test_serial_sweep_stops_at_the_budget(monkeypatch):
+    """A serial sweep is one shard under the request's limit, so it stops
+    at the limit and does not finish the sweep first (872 semigroups)."""
+    from nsg import decompose
+
+    rows = []
+    row = decompose._interval_row
+
+    def counted(s, b):
+        rows.append(s)
+        return row(s, b)
+
+    monkeypatch.setattr(decompose, "_interval_row", counted)
+    with pytest.raises(BudgetExceeded, match="50001 > 50000"):
+        check_interval(8, 22, Budget(50_000))
+    assert 0 < len(rows) < 872
 
 
 def test_check_msbound_small():
