@@ -117,18 +117,25 @@ class NumericalSemigroup:
         Returns bitmasks of (residues j + k that are such sums, residues j and
         k used in one).  The minimal generators are m and the a_i with i not a
         sum; a_i is maximal in the divisibility order (a_i - m
-        pseudo-Frobenius) iff i is in no sum.  The pass is O(m^2); it runs once
-        per semigroup and `generators` and `classify.pseudo_frobenius` both
-        read it.
+        pseudo-Frobenius) iff i is in no sum.  No sum above max(apery) is an
+        Apery element, so rows run in Apery-value order and stop there.  It
+        runs once per semigroup; `generators` and `pseudo_frobenius` read it.
         """
         a = (0,) + self.apery
         m = self.m
+        top = max(self.apery, default=0)
+        order = sorted(range(1, m), key=a.__getitem__)
         sums, used = set(), set()
-        for j in range(1, m):
+        for x in range(m - 1):
+            j = order[x]
             aj = a[j]
-            for k in range(j, m):
+            for y in range(x, m - 1):
+                k = order[y]
+                ak = a[k]
+                if aj + ak > top:
+                    break
                 i = (j + k) % m
-                if i and aj + a[k] == a[i]:
+                if aj + ak == a[i]:  # never at i = 0, where a[0] = 0
                     sums.add(i)
                     used.add(j)
                     used.add(k)

@@ -2,10 +2,11 @@
 
 Gap masks (bit x set iff x is a gap) are the one working form.  Ground
 truth for "is this a decomposition" is always the direct intersection, whose
-gap mask is the union of the components' masks; `is_decomposition` reads it
-and every leave-one-out union in one pass.  The cover criteria -- special
-gaps a component misses, and privately misses -- are computed separately
-and compared, never trusted alone.
+gap mask is the union of the components' masks.  A component's private
+gaps are `mask & ~shared`, where `shared |= covered & new` collects the gaps
+two or more components have.  The cover criteria -- special gaps a
+component misses, and privately misses -- are computed separately and
+compared, never trusted alone.
 
 Irreducible oversemigroups ("atoms") have one source, `_atom_masks`: every
 irreducible T containing S has F(T) among the gaps of S, so the atoms come
@@ -246,82 +247,61 @@ class DecompositionCheck:
     verdict: str
     reason: str | None
     intersection: NumericalSemigroup
-    #: None when the cover criteria do not apply (components not all
-    #: oversemigroups, or S is the full semigroup); otherwise True: a
-    #: disagreement with the direct intersection raises InternalAssertion.
-    criteria_agree: bool | None
 
 
-def _others(masks: list[int]) -> list[int]:
-    """For each i, the union of every mask but masks[i] (prefix | suffix)."""
-    k = len(masks)
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
-    out = []
-    prefix = 0
-    for i, mk in enumerate(masks):
-        out.append(prefix | suffix[i + 1])
-        prefix |= mk
-    return out
-
-
-def _cover_criteria(masks: list[int], sg_mask: int) -> tuple[bool, bool]:
-    """The special-gap view of a decomposition, from component gap masks.
+def _cover_criteria(masks: list[int], shared: int, sg_mask: int) -> tuple[bool, bool]:
+    """The special-gap view of a decomposition, from component gap masks and
+    `shared`, the gaps two or more of them have.
 
     Returns (every special gap is missed by some component, every component
     misses a special gap no other component misses).
     """
-    misses = [mk & sg_mask for mk in masks]
     covered = 0
-    for mi in misses:
-        covered |= mi
-    privates = all(mi & ~rest for mi, rest in zip(misses, _others(misses)))
-    return covered == sg_mask, privates
+    for mk in masks:
+        covered |= mk & sg_mask
+    return covered == sg_mask, all(mk & sg_mask & ~shared for mk in masks)
 
 
 def is_decomposition(s: NumericalSemigroup, components) -> DecompositionCheck:
     """Verdict on S = T_1 n ... n T_k, by direct intersection.
 
     The intersection's gap set is the union of the components' gap masks.
-    One pass gives that union and every union with one component left out,
-    which decides irredundancy; a semigroup is built for the intersection
-    only when it is not S.  The special-gap cover and private-gap criteria
-    are evaluated separately as a cross-check; a disagreement raises
-    InternalAssertion.  All of it is linear in the number of components.
+    One pass gives that union and `shared`; dropping T_i leaves the union
+    unchanged iff T_i has no gap outside `shared`, which decides
+    irredundancy.  A semigroup is built for the intersection only when it is
+    not S.  The special-gap cover and private-gap criteria are a separate
+    cross-check; a disagreement raises InternalAssertion.  All of it is
+    linear in the number of components.
     """
     comps = tuple(components)
     if not comps:
-        return DecompositionCheck(INVALID, "no components", N, None)
+        return DecompositionCheck(INVALID, "no components", N)
     masks = [c.gap_mask for c in comps]
-    rests = _others(masks)
-    union = rests[0] | masks[0]
+    union = shared = 0
+    for mk in masks:
+        shared |= union & mk
+        union |= mk
     target = s.gap_mask
     valid = union == target
     inter = s if valid else core._from_gap_mask(union)
     for c in comps:
         if not is_irreducible(c):
-            return DecompositionCheck(INVALID, f"component {c} is not irreducible", inter, None)
-    # irredundancy by dropping each component
-    redundant = [i for i, rest in enumerate(rests) if rest == target] if valid else []
+            return DecompositionCheck(INVALID, f"component {c} is not irreducible", inter)
+    redundant = [i for i, mk in enumerate(masks) if not mk & ~shared] if valid else []
 
-    criteria_agree: bool | None = None
     if s.m != 1 and all(not mk & ~target for mk in masks):  # all oversemigroups
-        cover_ok, cover_irr = _cover_criteria(masks, _mask_of(special_gaps(s)))
+        cover_ok, cover_irr = _cover_criteria(masks, shared, _mask_of(special_gaps(s)))
         # validity through the miss cover, irredundancy through miss-set privates
-        criteria_agree = cover_ok == valid and (not valid or cover_irr == (not redundant))
-        if not criteria_agree:
+        if cover_ok != valid or valid and cover_irr == bool(redundant):
             raise InternalAssertion(
                 f"cover criteria disagree with the intersection on {s}: components "
                 f"{', '.join(map(str, comps))}")
 
     if not valid:
-        return DecompositionCheck(INVALID, f"intersection is {inter}, not {s}",
-                                  inter, criteria_agree)
+        return DecompositionCheck(INVALID, f"intersection is {inter}, not {s}", inter)
     if redundant:
-        return DecompositionCheck(
-            VALID_REDUNDANT, f"components {redundant} are redundant", inter, criteria_agree)
-    return DecompositionCheck(VALID_IRREDUNDANT, None, inter, criteria_agree)
+        return DecompositionCheck(VALID_REDUNDANT, f"components {redundant} are redundant", inter)
+    return DecompositionCheck(VALID_IRREDUNDANT, None, inter)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +353,7 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
 
     found: dict[int, tuple[int, ...]] = {}
 
-    def rec(start, chosen, privates, covered):
+    def rec(start, chosen, covered, shared):
         b.tick()
         k = len(chosen)
         if covered == full:
@@ -389,15 +369,14 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
             sj = sets[j]
             if sj & ~covered == 0:
                 continue  # nothing new: sj could never gain a private
-            new_priv = [p & ~sj for p in privates]
-            if any(p == 0 for p in new_priv):
+            now_shared = shared | covered & sj
+            if any(not sets[c] & ~now_shared for c in chosen):
                 continue  # an earlier choice just lost its last private gap
-            new_priv.append(sj & ~covered)
             chosen.append(j)
-            rec(j + 1, chosen, new_priv, covered | sj)
+            rec(j + 1, chosen, covered | sj, now_shared)
             chosen.pop()
 
-    rec(0, [], [], 0)
+    rec(0, [], 0, 0)
 
     if not found:
         raise InternalAssertion(f"no irredundant cover found for reducible {s}")

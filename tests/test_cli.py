@@ -131,6 +131,19 @@ def test_info_large_reducible_answers_quickly(capsys):
     assert time.perf_counter() - t0 < 30
 
 
+def test_info_ordinary_large_multiplicity_answers_quickly(capsys):
+    """H(20000): the Apery-sum pass stops each row at max(apery), so the
+    O(m^2) pairs of an ordinary semigroup are never tried."""
+    t0 = time.perf_counter()
+    code, doc, _ = run_json(capsys, "info", "H:20000")
+    assert code == EXIT_OK
+    r = doc["result"]
+    assert r["generators"] == list(range(20000, 40000))
+    assert r["pseudo_frobenius"] == list(range(1, 20000))
+    assert r["special_gaps"] == list(range(10000, 20000))
+    assert time.perf_counter() - t0 < 10
+
+
 def test_info_parse_error_exits_2(capsys):
     code, out, err = run(capsys, "info", "5,x")
     assert code == EXIT_USAGE and "position" in err
@@ -160,7 +173,7 @@ def test_cover_criteria_disagreement_raises_and_exits_5(capsys, monkeypatch, wro
     may drop."""
     s = from_generators([5, 11, 13, 19])
     comps = length_spectrum(s).witnesses[2].components
-    monkeypatch.setattr(decompose, "_cover_criteria", lambda masks, sg_mask: wrong)
+    monkeypatch.setattr(decompose, "_cover_criteria", lambda masks, shared, sg_mask: wrong)
     with pytest.raises(InternalAssertion, match="cover criteria disagree"):
         is_decomposition(s, comps)
     code, out, err = run(capsys, "lengths", "5,11,13,19")
@@ -242,6 +255,11 @@ def test_verify_range_selector(capsys):
     assert code == EXIT_OK and doc["result"]["passed"] == 9
 
 
+def test_verify_reversed_range_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "theorem-4.3:12..4")
+    assert code == EXIT_USAGE and out == "" and "<lo> <= <hi>" in err
+
+
 def test_verify_sweep_selector(capsys):
     code, doc, _ = run_json(capsys, "verify", "sweep:4:12")
     assert code == EXIT_OK and doc["result"]["mismatches"] == []
@@ -296,6 +314,31 @@ def test_budget_used_does_not_depend_on_cached_walks(capsys, monkeypatch):
                                env=env, capture_output=True, text=True, timeout=120)
         used.append(json.loads(fresh.stdout)["stats"]["budget_used"])
     assert used == [cold] * 7
+
+
+@pytest.mark.parametrize("argv, used", [
+    (("verify", "theorem-4.3:4..12"), sum((m // 2 + 1) * (m - 1) for m in range(4, 13))),
+    (("ordinary", "8", "--all"), 5 * 7),
+    (("ordinary", "28", "--ell", "2"), 27),
+    (("verify", "example-4.2"), 4 * 27),
+])
+def test_family_members_tick_the_genus_of_H(capsys, argv, used):
+    """Each member D(m, ell) a command builds costs m - 1, the genus of H(m)."""
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK and doc["stats"]["budget_used"] == used
+
+
+@pytest.mark.parametrize("argv", [
+    ("ordinary", "20000", "--ell", "0"),
+    ("ordinary", "1200", "--all"),
+    ("verify", "theorem-4.3:2000..2000"),
+])
+def test_family_stops_at_the_budget_before_building(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "--budget", "10", *argv)
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: enumeration budget exceeded: 11 > 10 nodes\n"
+    assert time.perf_counter() - t0 < 5
 
 
 def test_large_atom_walk_stops_at_the_budget(capsys):

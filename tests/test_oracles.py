@@ -19,7 +19,8 @@ from nsg import (Budget, NotClosed, NotElement, NotSpecialGap, add_special_gap,
                  is_decomposition, is_irreducible, kunz_semigroups,
                  length_spectrum, minimum_cover,
                  pseudo_frobenius, semigroups_up_to_genus, special_gaps, N,
-                 PSEUDOSYMMETRIC, REDUCIBLE, SYMMETRIC, VALID_IRREDUNDANT)
+                 PSEUDOSYMMETRIC, REDUCIBLE, SYMMETRIC, VALID_IRREDUNDANT,
+                 VALID_REDUNDANT)
 from nsg.core import _bits, _closure_witness, _from_gap_mask, _mask_of
 from nsg.decompose import (_atom_masks, _cover_criteria,
                            _irreducible_gapmasks_with_frobenius, oversemigroups)
@@ -217,6 +218,22 @@ def bf_pseudo_frobenius(s):
     """Gaps x with x + y in S for every nonzero element y <= F."""
     nonzero = [y for y in range(1, s.frobenius + 1) if s.contains(y)]
     return {x for x in s.gaps if all(s.contains(x + y) for y in nonzero)}
+
+
+def ref_apery_sums(s):
+    """`_apery_sums` by every pair j <= k of residues, with no bound at
+    max(apery) and no ordering of the rows."""
+    a = (0,) + s.apery
+    m = s.m
+    sums, used = set(), set()
+    for j in range(1, m):
+        for k in range(j, m):
+            i = (j + k) % m
+            if i and a[j] + a[k] == a[i]:
+                sums.add(i)
+                used.add(j)
+                used.add(k)
+    return _mask_of(sums), _mask_of(used)
 
 
 def bf_minimum_cover_size(full, masks):
@@ -486,6 +503,16 @@ def test_generators_and_pseudo_frobenius_vs_brute_force():
         assert pseudo_frobenius(s) == bf_pseudo_frobenius(s), s
 
 
+def test_apery_sums_vs_pair_loop():
+    """The bounded pass finds the unbounded pair loop's sums on the random
+    pool, multiplicity 7 up to F = 22, ordinary semigroups up to m = 150 (no
+    pair to try) and H(m) with gaps m + 1, m + 3 and 2m + 1 (some pairs)."""
+    pool = chain(apery_pool(), kunz_semigroups(7, 22), (H(m) for m in range(2, 151)),
+                 (from_gaps(set(range(1, m)) | {m + 1, m + 3, 2 * m + 1}) for m in range(8, 60)))
+    for s in pool:
+        assert s._apery_sums == ref_apery_sums(s), s
+
+
 def test_minimum_cover_vs_exhaustive_search():
     """Seeded random instances with repeated masks, dominated masks and bits
     outside full: the size is the smallest k that covers, the returned
@@ -574,9 +601,10 @@ def test_I_irr_closed_form_vs_element_sets():
 
 def test_cover_kernels_vs_quadratic_formulas():
     """On every subset of at most 4 atoms of each genus <= 6 semigroup, the
-    linear mask kernels give the quadratic formulas' answers, special gaps of
-    the subset's intersection match the per-gap closure test, and
-    is_decomposition's criteria agree with its verdict."""
+    linear mask kernels, given the gaps shared by some pair, give the
+    quadratic formulas' answers, special gaps of the subset's intersection
+    match the per-gap closure test, and is_decomposition (which raises when
+    its criteria disagree with its verdict) reaches every verdict."""
     verdicts = Counter()
     intersections = set()
     for s in semigroups_up_to_genus(6):
@@ -587,9 +615,12 @@ def test_cover_kernels_vs_quadratic_formulas():
         for k in range(1, min(4, len(atoms)) + 1):
             for sub in combinations(atoms, k):
                 masks = [t.gap_mask for t in sub]
-                assert _cover_criteria(masks, sg_mask) == bf_cover_criteria(s, sub), (s, sub)
+                shared = 0
+                for a, b in combinations(masks, 2):
+                    shared |= a & b
+                assert (_cover_criteria(masks, shared, sg_mask)
+                        == bf_cover_criteria(s, sub)), (s, sub)
                 check = is_decomposition(s, sub)
-                assert check.criteria_agree is True, (s, sub)
                 verdicts[check.verdict] += 1
                 intersections.add(intersect_all(sub))
     assert set(verdicts) == {"valid_irredundant", "valid_redundant", "invalid"}
@@ -663,8 +694,11 @@ def test_is_decomposition_agrees_with_brute_force_verdict():
                     union |= t.gap_set
                 assert (check.verdict != "invalid") == (union == s.gap_set)
                 assert check.intersection.gap_mask == _mask_of(union)
-                if check.criteria_agree is not None:
-                    assert check.criteria_agree
+                if union == s.gap_set:
+                    # literal leave-one-out intersections
+                    redundant = any(intersect_all(sub[:i] + sub[i + 1:]) == s
+                                    for i in range(k))
+                    assert (check.verdict == VALID_REDUNDANT) == redundant, (s, sub)
 
 
 def test_spectrum_witnesses_again_verified_independently():
