@@ -6,8 +6,9 @@ element congruent to i mod m.  Gap sets and generating sets are derived
 views: the gaps are the residue runs i, i + m, ..., a_i - m.  Membership is
 one comparison with an Apery coordinate; inclusion and intersection work on
 gap bitmasks (bit x set iff x is a gap).  `from_generators` finds the Apery
-vector by shortest paths mod m.  Gap masks go through one linear bitmask
-builder, one closure kernel and one Apery kernel, `_apery_of`, which reads
+vector by shortest paths mod m.  A semigroup's gap mask is written from
+its residue runs; other masks go through one linear bitmask builder.  There
+is one closure kernel and one Apery kernel, `_apery_of`, which reads
 Ap(S; n) for any element n off a single shift of the element mask.
 """
 
@@ -93,8 +94,14 @@ class NumericalSemigroup:
 
     @cached_property
     def gap_mask(self) -> int:
-        """Gap set as a bitmask (bit x set iff x is a gap)."""
-        return _mask_of(self.gaps)
+        """Gap set as a bitmask (bit x set iff x is a gap), parsed from one
+        '0'/'1' row with each residue run i, i + m, ..., a_i - m written by
+        one slice assignment; the gaps are never listed."""
+        m = self.m
+        row = bytearray(b"0") * (self.frobenius + 2)  # least significant bit first
+        for i, a in enumerate(self.apery, start=1):
+            row[i:a:m] = b"1" * ((a - i) // m)
+        return int(row[::-1], 2)
 
     @cached_property
     def generators(self) -> tuple[int, ...]:

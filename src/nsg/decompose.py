@@ -10,11 +10,15 @@ compared, never trusted alone.
 
 Irreducible oversemigroups ("atoms") have one source, `_atom_masks`: every
 irreducible T containing S has F(T) among the gaps of S, so the atoms come
-from one swap-move walk per gap f of S, filtered by containment.  The walk
-turns into gaps only those x in (f/2, f) that are gaps of S, which loses no
-T containing S because a move never takes a high gap back; it is cached on
-f and those allowed high gaps, and ticks the budget once per node.  Walking
-every high gap gives the full table (`irreducibles_with_frobenius`).  The
+from one swap-move walk per gap f of S.  The walk starts at T0(S, f), S's
+own irreducible closure: S's elements in [1, f/2], the gap f - e for each
+of them, and every other x in (f/2, f) an element.  It turns into gaps only
+gaps of S, so every node contains S, and reverse moves lead from any
+irreducible T containing S with F(T) = f back to T0, so it reaches exactly
+those T; `_atom_masks` checks the containment and raises when it fails.
+The walk is cached on f and the gaps of S below f, and ticks the budget
+once per node.  With no elements below f it is the full table
+(`irreducibles_with_frobenius`), shared with the walks of H(m).  The
 cover search, the agreement-set sweep and `ordinary.min_ordinary_length`
 read miss sets and agreement sets off the atom masks; semigroups are built
 only for witnesses, violations and `irreducible_oversemigroups`, whose
@@ -53,54 +57,72 @@ class Budget:
 
 
 def _budget(b) -> Budget:
-    return b if isinstance(b, Budget) else Budget()
+    """`b` itself, or a fresh default Budget for None; anything else, such as
+    a bare node limit, is a TypeError rather than a silent default."""
+    if b is None:
+        return Budget()
+    if not isinstance(b, Budget):
+        raise TypeError(f"budget must be a Budget or None, not {type(b).__name__}")
+    return b
 
 
 # ---------------------------------------------------------------------------
 # irreducibles with a fixed Frobenius number
 
 
-#: walk results by (f, allowed high gaps); see _irreducible_gapmasks_with_frobenius
+#: walk results by (f, gaps of S below f); see _irreducible_gapmasks_with_frobenius
 _WALKS: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
 def _irreducible_gapmasks_with_frobenius(f: int, gaps: int = -1, budget=None) -> tuple[int, ...]:
-    """Sorted gap masks of the irreducible semigroups with Frobenius exactly f
-    whose gaps in (f/2, f) all lie in the mask `gaps`; by default, all of them.
+    """Sorted gap masks of the irreducible T with Frobenius exactly f that
+    contain the semigroup S whose gaps are the mask `gaps`, where f is a gap
+    of S; by default (no elements below f), all of them.
 
-    Seeded at the gap set {1..floor(f/2)} u {f} and closed under the swap
-    move: remove a minimal generator g with f/2 < g < f and insert f - g.
-    The move preserves Frobenius number and genus, so closure of the
-    complement is the only thing to re-check; genus floor(f/2)+1 with
-    Frobenius f is exactly irreducibility.  The parent's complement is
-    closed and g is not a sum of two of its nonzero elements, so only sums
-    involving the inserted element f - g can land on a gap: one shift.
+    Seeded at T0: the gap set {1..floor(f/2)} u {f}, then for each element e
+    of S in [1, f/2], e made an element and f - e a gap.  T0 keeps S's
+    elements in [1, f/2] and has every other x in (f/2, f) as an element,
+    so it is irreducible, has Frobenius f and contains S (a sum of elements
+    of S landing on f - e would put f in S).  The walk closes T0 under the
+    swap move: remove a minimal generator g with f/2 < g < f that is a gap
+    of S and insert f - g.  The move preserves Frobenius number and genus,
+    so closure of the complement is the only thing to re-check; genus
+    floor(f/2)+1 with Frobenius f is exactly irreducibility.  The parent's
+    complement is closed and g is not a sum of two of its nonzero elements,
+    so only sums involving the inserted element f - g can land on a gap:
+    one shift.
 
-    Every irreducible T with Frobenius f is reached (Blanco and Rosales,
-    Forum Math. 2013), and a move turns one g in (f/2, f) into a gap and
-    touches nothing else above f/2, so along any path the set of high gaps
-    only grows.  Moving only g in `gaps` therefore reaches every T whose high
-    gaps lie in `gaps` and nothing else: when T contains S, passing
-    gaps(S) loses no T.  The result depends on f and the allowed high gaps
-    alone, which is the cache key, so the walks for all f < m of H(m) are
-    the full tables and shared with every other caller.
+    A move only adds low elements and high gaps of S, so every node contains
+    S.  Every irreducible T containing S with F(T) = f is reached: let E be
+    T's elements in [1, f/2] that are not in S.  If E is nonempty, h = min E
+    is a minimal generator of T, and T' = T minus h plus f - h is
+    irreducible, contains S and has one element of E fewer; the move on
+    g = f - h, a gap of S, takes T' to T.  By induction on |E| every such T
+    is reached from T0 (Blanco and Rosales, Forum Math. 2013, for the full
+    table).
 
-    The budget is ticked once per node while walking, and by the size of
-    the result on a cache hit: the same count and the same point of failure
-    either way.  A walk the budget stops is not cached.
+    The result depends on f and the gaps of S in [1, f) alone, which is the
+    cache key: the walks for all f < m of H(m) are the full tables and
+    shared with `irreducibles_with_frobenius`.  The budget is ticked once
+    per node while walking, and by the size of the result on a cache hit:
+    the same count and the same point of failure either way.  A walk the
+    budget stops is not cached.
     """
     if f < 1:
         raise ValueError("Frobenius number must be positive")
     b = _budget(budget)
-    low_half = (1 << (f // 2 + 1)) - 1  # x with 2x <= f
-    allowed = gaps & ((1 << f) - 1) & ~low_half  # movable g with f/2 < g < f
-    key = (f, allowed)
+    below = gaps & ((1 << f) - 2)  # the gaps of S in [1, f)
+    key = (f, below)
     got = _WALKS.get(key)
     if got is not None:
         b.tick(len(got))
         return got
     full = (1 << (f + 1)) - 1
+    low_half = (1 << (f // 2 + 1)) - 1  # x with 2x <= f
+    allowed = below & ~low_half  # movable g with f/2 < g < f
     seed = low_half & ~1 | (1 << f)
+    for e in _bits(low_half & ~1 & ~below):  # elements of S in [1, f/2]
+        seed ^= 1 << e | 1 << (f - e)
     seen = {seed}
     stack = [seed]
     while stack:
@@ -192,19 +214,25 @@ def miss_set(s: NumericalSemigroup, t: NumericalSemigroup) -> frozenset[int]:
 def _atom_masks(s: NumericalSemigroup, sg_mask: int, b: Budget) -> list[int]:
     """Gap masks of the irreducible T containing s that miss a special gap.
 
-    T contains s iff gaps(T) lie within gaps(s), so F(T) is a gap f of s and
-    every gap of T in (f/2, f) is a gap of s: T is in the walk for f that
-    moves only gaps of s (see `_irreducible_gapmasks_with_frobenius`), which
-    is then filtered by containment.  F <= 2g - 1 bounds the walks by the
-    genus.  Each walk is sorted, so the atoms come in the order of the full
-    per-Frobenius tables.  The budget is ticked once per walk node.
+    T contains s iff gaps(T) lie within gaps(s), so F(T) is a gap f of s,
+    and T is in the walk for (s, f), which starts at s's own irreducible
+    closure T0(s, f) and reaches exactly the irreducible T containing s with
+    F(T) = f (see `_irreducible_gapmasks_with_frobenius`).  A walk node with
+    a gap outside gaps(s) contradicts that and raises InternalAssertion.
+    F <= 2g - 1 bounds the walks by the genus.  Each walk is sorted, so the
+    atoms come in the order of the full per-Frobenius tables.  The budget is
+    ticked once per walk node.
     """
     gaps = s.gap_mask
     outside = ~gaps
     out = []
     for f in s.gaps:
-        walk = _irreducible_gapmasks_with_frobenius(f, gaps, b)
-        out.extend(gm for gm in walk if not gm & outside and gm & sg_mask)
+        for gm in _irreducible_gapmasks_with_frobenius(f, gaps, b):
+            if gm & outside:
+                raise InternalAssertion(
+                    f"atom walk for F = {f} left the oversemigroups of {s}")
+            if gm & sg_mask:
+                out.append(gm)
     return out
 
 
@@ -212,10 +240,11 @@ def irreducible_oversemigroups(s: NumericalSemigroup, budget=None) -> list[Numer
     """The irreducible T containing s that miss a special gap of s (the only
     ones usable in an irredundant decomposition), sorted by `sort_key`.
 
-    They are the swap-move walks for f in gaps(s), filtered by containment
-    (see `_atom_masks`).  A caller reads miss sets and agreement sets off
-    their gap masks: `gap_mask & sg_mask` and `gap_mask & _agree_mask(s)`,
-    which are `miss_set` and, reduced mod m, `m_set`.
+    They are the swap-move walks for f in gaps(s), each seeded at s's own
+    irreducible closure (see `_atom_masks`).  A caller reads miss sets and
+    agreement sets off their gap masks: `gap_mask & sg_mask` and
+    `gap_mask & _agree_mask(s)`, which are `miss_set` and, reduced mod m,
+    `m_set`.
     """
     b = _budget(budget)
     if s.m == 1:

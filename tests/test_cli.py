@@ -180,6 +180,20 @@ def test_cover_criteria_disagreement_raises_and_exits_5(capsys, monkeypatch, wro
     assert code == EXIT_INTERNAL and out == "" and "cover criteria disagree" in err
 
 
+def test_atom_walk_leaving_the_oversemigroups_raises_and_exits_5(capsys, monkeypatch):
+    """A walk node that does not contain S contradicts the seeded walk's
+    theory; `_atom_masks` checks every node instead of filtering it out."""
+    real = decompose._irreducible_gapmasks_with_frobenius
+    # the full tables hold irreducibles that do not contain <5,11,13,19>
+    monkeypatch.setattr(decompose, "_irreducible_gapmasks_with_frobenius",
+                        lambda f, gaps=-1, budget=None: real(f, budget=budget))
+    s = from_generators([5, 11, 13, 19])
+    with pytest.raises(InternalAssertion, match="left the oversemigroups"):
+        decompose._atom_masks(s, s.gap_mask, decompose.Budget())
+    code, out, err = run(capsys, "lengths", "5,11,13,19")
+    assert code == EXIT_INTERNAL and out == "" and "left the oversemigroups" in err
+
+
 def test_lengths(capsys):
     code, doc, _ = run_json(capsys, "lengths", "5,11,13,19")
     assert code == EXIT_OK
@@ -342,27 +356,38 @@ def test_family_stops_at_the_budget_before_building(capsys, argv):
 
 
 def test_large_atom_walk_stops_at_the_budget(capsys):
-    """The walks are metered while they run: a budget far below the ~491k
-    walk nodes of <11,27,32> stops it within seconds, not after the walk."""
+    """The walks are metered while they run: the H(72) walks (137,568 nodes
+    with the cover search) stop at a budget of 100,000 within seconds, not
+    after the walk."""
     decompose._WALKS.clear()
     t0 = time.perf_counter()
-    code, out, err = run(capsys, "--budget", "100000", "lengths", "11,27,32")
+    code, out, err = run(capsys, "--budget", "100000", "ordinary", "72", "--min")
     assert code == EXIT_BUDGET and out == ""
     assert err == "error: enumeration budget exceeded: 100001 > 100000 nodes\n"
     assert time.perf_counter() - t0 < 30
 
 
 def test_large_atom_walk_answers_under_the_default_budget(capsys, monkeypatch):
+    """Each walk starts inside the oversemigroups of <11,27,32>: 1,394 nodes."""
     monkeypatch.delenv("NSG_BUDGET", raising=False)
     code, doc, _ = run_json(capsys, "lengths", "11,27,32")
     assert code == EXIT_OK
     assert doc["result"]["lengths"] == [2]
-    assert doc["stats"]["budget_used"] < 1_000_000
+    assert doc["stats"]["budget_used"] <= 2_000
+
+
+def test_large_genus_lengths_answer_under_the_default_budget(capsys, monkeypatch):
+    """<20,41,53,77> (genus 121) needs about 115k walk nodes; walks from the
+    global seed ran past the 5M default."""
+    monkeypatch.delenv("NSG_BUDGET", raising=False)
+    code, doc, _ = run_json(capsys, "lengths", "20,41,53,77")
+    assert code == EXIT_OK
+    assert doc["result"]["lengths"] == [3]
 
 
 def test_sweep_budget_counts_every_shard(capsys):
     """Each shard's nodes are ticked into the one budget: `check 8 22`
-    (79,919 nodes over its shards) exits 4 under 50,000 with the same error
+    (72,359 nodes over its shards) exits 4 under 50,000 with the same error
     serial or parallel, and answers under exactly its own count."""
     errs = []
     for threads in ("1", "2"):
@@ -371,8 +396,8 @@ def test_sweep_budget_counts_every_shard(capsys):
         assert code == EXIT_BUDGET and out == ""
         errs.append(err)
     assert errs == ["error: enumeration budget exceeded: 50001 > 50000 nodes\n"] * 2
-    code, doc, _ = run_json(capsys, "--budget", "79919", "check", "8", "22", "--interval")
-    assert code == EXIT_OK and doc["stats"]["budget_used"] == 79919
+    code, doc, _ = run_json(capsys, "--budget", "72359", "check", "8", "22", "--interval")
+    assert code == EXIT_OK and doc["stats"]["budget_used"] == 72359
 
 
 @pytest.mark.parametrize("argv", [

@@ -116,6 +116,14 @@ def test_budget_exhaustion():
         length_spectrum(from_generators([6, 13, 14, 15, 16, 17]), Budget(5))
 
 
+def test_budget_must_be_a_budget_or_none():
+    """A bare node limit is refused, not run under the default budget."""
+    with pytest.raises(TypeError, match="Budget or None"):
+        length_spectrum(from_generators([6, 13, 14, 15, 16, 17]), 1000)
+    with pytest.raises(TypeError, match="Budget or None"):
+        check_interval(8, 22, 1000)
+
+
 def test_kunz_semigroups_counts_and_validity():
     assert sum(1 for _ in kunz_semigroups(4, 14)) == 37
     for s in kunz_semigroups(4, 14):

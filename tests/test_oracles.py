@@ -379,8 +379,8 @@ def random_semigroups(rng, count, f_max):
 
 
 def test_atom_walks_vs_filtered_full_tables():
-    """The walk for f that moves only gaps of S is the full table for f cut
-    to the T whose gaps in (f/2, f) are gaps of S, in the table's order; so
+    """The walk for (S, f), seeded at S's own irreducible closure, is the
+    full table for f cut to the T that contain S, in the table's order; so
     the atoms are the containment-filtered full tables, in the same order.
     Seeded random S with F <= 45 and every S of multiplicity 6 with F <= 18."""
     rng = random.Random(12)
@@ -391,13 +391,30 @@ def test_atom_walks_vs_filtered_full_tables():
         sg_mask = _mask_of(special_gaps(s))
         want = []
         for f in s.gaps:
-            high = ((1 << f) - 1) & ~((1 << (f // 2 + 1)) - 1)
             table = _irreducible_gapmasks_with_frobenius(f)
             assert list(table) == sorted(table), f
             walk = _irreducible_gapmasks_with_frobenius(f, gaps, Budget())
-            assert walk == tuple(gm for gm in table if not gm & high & ~gaps), (s, f)
+            assert walk == tuple(gm for gm in table if not gm & outside), (s, f)
             want.extend(gm for gm in table if not gm & outside and gm & sg_mask)
         assert _atom_masks(s, sg_mask, Budget()) == want, s
+
+
+def test_walk_seed_is_the_irreducible_closure():
+    """T0(S, f), built from element sets: S's elements in [1, f/2], f - e a
+    gap for each such e, every other x in (f/2, f) an element.  It is a
+    semigroup, irreducible, has Frobenius f, contains S, agrees with S on
+    [1, f/2], and is a node of the walk for (S, f)."""
+    rng = random.Random(14)
+    for s in random_semigroups(rng, 200, 45) + list(kunz_semigroups(6, 18)):
+        for f in s.gaps:
+            low = range(1, f // 2 + 1)
+            gaps = {x for x in low if not s.contains(x)} | {f}
+            gaps |= {f - e for e in low if s.contains(e)}
+            t0 = from_gaps(gaps)  # raises NotClosed unless a semigroup
+            assert is_irreducible(t0) and t0.frobenius == f, (s, f)
+            assert s.is_subset(t0), (s, f)
+            assert all(t0.contains(x) == s.contains(x) for x in low), (s, f)
+            assert t0.gap_mask in _irreducible_gapmasks_with_frobenius(f, s.gap_mask), (s, f)
 
 
 def apery_pool():
@@ -430,7 +447,10 @@ def test_apery_set_vs_contains_scan():
 
 
 def test_gaps_vs_contains_scan():
-    for s in apery_pool():
+    """The gaps and the gap mask written from the residue runs, against the
+    listed `contains` scan, on the Apery pool and all 872 S of multiplicity 8
+    with F <= 22 (both built from Apery vectors, with no mask)."""
+    for s in chain(apery_pool(), kunz_semigroups(8, 22)):
         assert s.gaps == ref_gaps(s), s
         assert s.gap_mask == _mask_of(ref_gaps(s)), s
 
