@@ -86,11 +86,13 @@ def _parse_metered(spec: str, budget: Budget) -> NumericalSemigroup:
 
 
 def semigroup_json(s: NumericalSemigroup) -> dict:
+    """The invariants of s; the tuples are s's own, not copies (`json`
+    writes them as lists)."""
     return {
         "multiplicity": s.m,
-        "apery": list(s.apery),
-        "generators": list(s.generators),
-        "gaps": list(s.gaps),
+        "apery": s.apery,
+        "generators": s.generators,
+        "gaps": s.gaps,
         "frobenius": s.frobenius,
         "genus": s.genus,
     }
@@ -124,14 +126,14 @@ def _print_plain(result, indent=""):
     if isinstance(result, dict):
         for k in result:
             v = result[k]
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 print(f"{indent}{k}:")
                 _print_plain(v, indent + "  ")
             else:
                 print(f"{indent}{k}: {v}")
-    elif isinstance(result, list):
+    elif isinstance(result, (list, tuple)):
         for v in result:
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 _print_plain(v, indent + "  ")
             else:
                 print(f"{indent}{v}")

@@ -16,20 +16,25 @@ of them, and every other x in (f/2, f) an element.  It turns into gaps only
 gaps of S, so every node contains S, and reverse moves lead from any
 irreducible T containing S with F(T) = f back to T0, so it reaches exactly
 those T; `_atom_masks` checks the containment and raises when it fails.
-The walk is cached on f and the gaps of S below f, and ticks the budget
-once per node.  With no elements below f it is the full table
-(`irreducibles_with_frobenius`), shared with the walks of H(m).  The
-cover search, the agreement-set sweep and `ordinary.min_ordinary_length`
-read miss sets and agreement sets off the atom masks; semigroups are built
-only for witnesses, violations and `irreducible_oversemigroups`, whose
-callers receive them.  Both sweeps stride one ordered stream across the
-workers of `_sweep`, whose totals count against one budget.  All enumerations
-are metered by a node budget so runaway searches fail loudly and reproducibly.
+An atom misses a special gap x <= F(T) = f, so gaps f below S's least
+special gap are not walked.  The walk is cached on f and the gaps of S
+below f, and ticks the budget by w(f) = 1 + f*f // 2**14 per node, since
+a node's shifts cost about f*f bit operations.  With no elements below f
+it is the full table (`irreducibles_with_frobenius`), shared with the
+walks of H(m).  The cover search, the agreement-set sweep and
+`ordinary.min_ordinary_length` read miss sets and agreement sets off the
+atom masks; semigroups are built only for witnesses, violations and
+`irreducible_oversemigroups`, whose callers receive them; the atoms a
+witness picks from are built once per process (`_ATOMS`).  Both sweeps
+stride one ordered stream across the workers of `_sweep`, whose totals
+count against one budget.  All enumerations are metered by a node budget
+so runaway searches fail loudly and reproducibly.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -72,6 +77,8 @@ def _budget(b) -> Budget:
 
 #: walk results by (f, gaps of S below f); see _irreducible_gapmasks_with_frobenius
 _WALKS: dict[tuple[int, int], tuple[int, ...]] = {}
+#: semigroups built from walk entries, by gap mask; see _atom
+_ATOMS: dict[int, NumericalSemigroup] = {}
 
 
 def _irreducible_gapmasks_with_frobenius(f: int, gaps: int = -1, budget=None) -> tuple[int, ...]:
@@ -103,19 +110,22 @@ def _irreducible_gapmasks_with_frobenius(f: int, gaps: int = -1, budget=None) ->
 
     The result depends on f and the gaps of S in [1, f) alone, which is the
     cache key: the walks for all f < m of H(m) are the full tables and
-    shared with `irreducibles_with_frobenius`.  The budget is ticked once
-    per node while walking, and by the size of the result on a cache hit:
-    the same count and the same point of failure either way.  A walk the
-    budget stops is not cached.
+    shared with `irreducibles_with_frobenius`.  A node makes up to f/2
+    shifts of an f-bit mask, a cost that grows like f*f, so each node ticks
+    the budget by the weight w(f) = 1 + f*f // 2**14 (1 for every f < 128)
+    while walking, and a cache hit ticks w(f) times the size of the
+    result: the same count and the same point of failure either way.  A
+    walk the budget stops is not cached.
     """
     if f < 1:
         raise ValueError("Frobenius number must be positive")
     b = _budget(budget)
     below = gaps & ((1 << f) - 2)  # the gaps of S in [1, f)
     key = (f, below)
+    w = 1 + (f * f >> 14)
     got = _WALKS.get(key)
     if got is not None:
-        b.tick(len(got))
+        b.tick(w * len(got))
         return got
     full = (1 << (f + 1)) - 1
     low_half = (1 << (f // 2 + 1)) - 1  # x with 2x <= f
@@ -127,7 +137,7 @@ def _irreducible_gapmasks_with_frobenius(f: int, gaps: int = -1, budget=None) ->
     stack = [seed]
     while stack:
         gm = stack.pop()
-        b.tick()
+        b.tick(w)
         elems = ~gm & full & ~1
         # sums of two nonzero elements (elems * 2**x is elems shifted by x);
         # bits above f are never gaps
@@ -212,21 +222,25 @@ def miss_set(s: NumericalSemigroup, t: NumericalSemigroup) -> frozenset[int]:
 
 
 def _atom_masks(s: NumericalSemigroup, sg_mask: int, b: Budget) -> list[int]:
-    """Gap masks of the irreducible T containing s that miss a special gap.
+    """Gap masks of the irreducible T containing s that miss a special gap
+    (a bit of `sg_mask`).
 
     T contains s iff gaps(T) lie within gaps(s), so F(T) is a gap f of s,
     and T is in the walk for (s, f), which starts at s's own irreducible
     closure T0(s, f) and reaches exactly the irreducible T containing s with
     F(T) = f (see `_irreducible_gapmasks_with_frobenius`).  A walk node with
     a gap outside gaps(s) contradicts that and raises InternalAssertion.
-    F <= 2g - 1 bounds the walks by the genus.  Each walk is sorted, so the
-    atoms come in the order of the full per-Frobenius tables.  The budget is
-    ticked once per walk node.
+    The gaps of T are at most f, so T misses a special gap x only if x <= f:
+    gaps f below the least special gap are not walked.  F <= 2g - 1 bounds
+    the walks by the genus.  Each walk is sorted, so the atoms come in the
+    order of the full per-Frobenius tables.  The budget is ticked by the
+    walks' weighted node counts.
     """
     gaps = s.gap_mask
     outside = ~gaps
     out = []
-    for f in s.gaps:
+    least = (sg_mask & -sg_mask).bit_length() - 1
+    for f in s.gaps[bisect_left(s.gaps, least):]:
         for gm in _irreducible_gapmasks_with_frobenius(f, gaps, b):
             if gm & outside:
                 raise InternalAssertion(
@@ -234,6 +248,14 @@ def _atom_masks(s: NumericalSemigroup, sg_mask: int, b: Budget) -> list[int]:
             if gm & sg_mask:
                 out.append(gm)
     return out
+
+
+def _atom(gm: int) -> NumericalSemigroup:
+    """The semigroup with gap mask `gm`, a walk entry, built once per process."""
+    t = _ATOMS.get(gm)
+    if t is None:
+        t = _ATOMS[gm] = core._from_gap_mask(gm)
+    return t
 
 
 def irreducible_oversemigroups(s: NumericalSemigroup, budget=None) -> list[NumericalSemigroup]:
@@ -358,8 +380,9 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
     The search records the first cover of each length it meets.  Every set
     added must cover a new special gap, so a node with k sets chosen, u
     special gaps uncovered and r sets left to try reaches only lengths
-    k + 1 .. k + min(u, r); when all of them have witnesses it is cut, which
-    leaves the witnesses unchanged.
+    k + 1 .. k + min(u, r); when all of them have witnesses (one AND with
+    `have`, the bitmask of lengths found) it is cut, which leaves the
+    witnesses unchanged.
     """
     b = _budget(budget)
     if s.m == 1 or is_irreducible(s):
@@ -381,29 +404,36 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
         suffix_union[i] = suffix_union[i + 1] | sets[i]
 
     found: dict[int, tuple[int, ...]] = {}
+    have = 0  # bit k set iff found has length k
 
     def rec(start, chosen, covered, shared):
+        nonlocal have
         b.tick()
         k = len(chosen)
         if covered == full:
             if k not in found:
                 found[k] = tuple(chosen)
+                have |= 1 << k
             return
         if (covered | suffix_union[start]) != full:
             return
         reach = min((full & ~covered).bit_count(), nsets - start)
-        if all(n in found for n in range(k + 1, k + reach + 1)):
+        want = ((1 << reach) - 1) << (k + 1)  # lengths k + 1 .. k + reach
+        if have & want == want:
             return  # every length this subtree can reach already has a witness
+        chosen_sets = [sets[c] for c in chosen]
         for j in range(start, nsets):
             sj = sets[j]
             if sj & ~covered == 0:
                 continue  # nothing new: sj could never gain a private
             now_shared = shared | covered & sj
-            if any(not sets[c] & ~now_shared for c in chosen):
-                continue  # an earlier choice just lost its last private gap
-            chosen.append(j)
-            rec(j + 1, chosen, covered | sj, now_shared)
-            chosen.pop()
+            for sc in chosen_sets:
+                if not sc & ~now_shared:
+                    break  # an earlier choice just lost its last private gap
+            else:
+                chosen.append(j)
+                rec(j + 1, chosen, covered | sj, now_shared)
+                chosen.pop()
 
     rec(0, [], 0, 0)
 
@@ -415,7 +445,7 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
 
     # each miss set used by a witness is represented by its least atom, so
     # witnesses do not depend on the order the atoms were enumerated in
-    rep = {j: min(map(core._from_gap_mask, by_miss[sets[j]]), key=NumericalSemigroup.sort_key)
+    rep = {j: min(map(_atom, by_miss[sets[j]]), key=NumericalSemigroup.sort_key)
            for j in set().union(*found.values())}
     witnesses = {}
     for k in lengths:

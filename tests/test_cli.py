@@ -144,6 +144,43 @@ def test_info_ordinary_large_multiplicity_answers_quickly(capsys):
     assert time.perf_counter() - t0 < 10
 
 
+PLAIN_INFO_5_6_7 = (
+    "multiplicity: 5\n"
+    "apery:\n  6\n  7\n  13\n  14\n"
+    "generators:\n  5\n  6\n  7\n"
+    "gaps:\n  1\n  2\n  3\n  4\n  8\n  9\n"
+    "frobenius: 9\n"
+    "genus: 6\n"
+    "pseudo_frobenius:\n  8\n  9\n"
+    "special_gaps:\n  8\n  9\n"
+    "type: 2\n"
+    "classification: reducible\n")
+
+PLAIN_DECOMPOSE_6_9_20 = (
+    "lengths:\n  1\n"
+    "decompositions:\n"
+    "    length: 1\n"
+    "    components:\n"
+    "        multiplicity: 6\n"
+    "        apery:\n" + "".join(f"          {a}\n" for a in (49, 20, 9, 40, 29)) +
+    "        generators:\n" + "".join(f"          {g}\n" for g in (6, 9, 20)) +
+    "        gaps:\n" + "".join(f"          {x}\n" for x in (
+        1, 2, 3, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 19, 22, 23, 25, 28, 31, 34, 37, 43)) +
+    "        frobenius: 43\n"
+    "        genus: 22\n")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("info", "5,6,7"), PLAIN_INFO_5_6_7),
+    (("decompose", "6,9,20"), PLAIN_DECOMPOSE_6_9_20),
+])
+def test_plain_output(capsys, argv, text):
+    """Without --json, nested lists and tuples print one item a line."""
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert out == text
+
+
 def test_info_parse_error_exits_2(capsys):
     code, out, err = run(capsys, "info", "5,x")
     assert code == EXIT_USAGE and "position" in err
@@ -307,27 +344,29 @@ def _budget_used(capsys, *argv):
 
 
 def test_budget_used_does_not_depend_on_cached_walks(capsys, monkeypatch):
-    """A walk ticks once per node and a cached walk ticks its size, and a
-    walk the budget stops is not cached: lengths and decompose use the same
-    nodes cold, warm, after a budget failure and in a fresh process."""
+    """A walk ticks w(f) per node and a cached walk w(f) times its size, and
+    a walk the budget stops is not cached: lengths and decompose use the
+    same nodes cold, warm, after a budget failure and in a fresh process.
+    <20,41,53,77> walks f in 185..209, where w(f) = 3."""
     monkeypatch.delenv("NSG_BUDGET", raising=False)
-    spec = "10,19,21"
-    decompose._WALKS.clear()
-    cold = _budget_used(capsys, "lengths", spec)
-    used = [cold, _budget_used(capsys, "lengths", spec), _budget_used(capsys, "decompose", spec)]
-    decompose._WALKS.clear()
-    used.append(_budget_used(capsys, "decompose", spec))
-    decompose._WALKS.clear()
-    code, _, err = run(capsys, "--budget", str(cold // 2), "lengths", spec)
-    assert code == EXIT_BUDGET and f"{cold // 2 + 1} > {cold // 2}" in err
-    used.append(_budget_used(capsys, "lengths", spec))
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    for command in ("lengths", "decompose"):
-        fresh = subprocess.run([sys.executable, "-m", "nsg.cli", "--json", command, spec],
-                               env=env, capture_output=True, text=True, timeout=120)
-        used.append(json.loads(fresh.stdout)["stats"]["budget_used"])
-    assert used == [cold] * 7
+    for spec in ("10,19,21", "20,41,53,77"):
+        decompose._WALKS.clear()
+        cold = _budget_used(capsys, "lengths", spec)
+        used = [cold, _budget_used(capsys, "lengths", spec),
+                _budget_used(capsys, "decompose", spec)]
+        decompose._WALKS.clear()
+        used.append(_budget_used(capsys, "decompose", spec))
+        decompose._WALKS.clear()
+        code, _, err = run(capsys, "--budget", str(cold // 2), "lengths", spec)
+        assert code == EXIT_BUDGET and f"{cold // 2 + 1} > {cold // 2}" in err
+        used.append(_budget_used(capsys, "lengths", spec))
+        for command in ("lengths", "decompose"):
+            fresh = subprocess.run([sys.executable, "-m", "nsg.cli", "--json", command, spec],
+                                   env=env, capture_output=True, text=True, timeout=120)
+            used.append(json.loads(fresh.stdout)["stats"]["budget_used"])
+        assert used == [cold] * 7, spec
 
 
 @pytest.mark.parametrize("argv, used", [
@@ -368,7 +407,9 @@ def test_large_atom_walk_stops_at_the_budget(capsys):
 
 
 def test_large_atom_walk_answers_under_the_default_budget(capsys, monkeypatch):
-    """Each walk starts inside the oversemigroups of <11,27,32>: 1,394 nodes."""
+    """Each walk starts inside the oversemigroups of <11,27,32>, and only
+    the gaps from its least special gap, 144, up are walked: 92 nodes, 80
+    of them the genus."""
     monkeypatch.delenv("NSG_BUDGET", raising=False)
     code, doc, _ = run_json(capsys, "lengths", "11,27,32")
     assert code == EXIT_OK
@@ -377,8 +418,8 @@ def test_large_atom_walk_answers_under_the_default_budget(capsys, monkeypatch):
 
 
 def test_large_genus_lengths_answer_under_the_default_budget(capsys, monkeypatch):
-    """<20,41,53,77> (genus 121) needs about 115k walk nodes; walks from the
-    global seed ran past the 5M default."""
+    """<20,41,53,77> (genus 121) needs 1,811 nodes; walks from the global
+    seed ran past the 5M default."""
     monkeypatch.delenv("NSG_BUDGET", raising=False)
     code, doc, _ = run_json(capsys, "lengths", "20,41,53,77")
     assert code == EXIT_OK
@@ -387,7 +428,7 @@ def test_large_genus_lengths_answer_under_the_default_budget(capsys, monkeypatch
 
 def test_sweep_budget_counts_every_shard(capsys):
     """Each shard's nodes are ticked into the one budget: `check 8 22`
-    (72,359 nodes over its shards) exits 4 under 50,000 with the same error
+    (59,666 nodes over its shards) exits 4 under 50,000 with the same error
     serial or parallel, and answers under exactly its own count."""
     errs = []
     for threads in ("1", "2"):
@@ -396,8 +437,8 @@ def test_sweep_budget_counts_every_shard(capsys):
         assert code == EXIT_BUDGET and out == ""
         errs.append(err)
     assert errs == ["error: enumeration budget exceeded: 50001 > 50000 nodes\n"] * 2
-    code, doc, _ = run_json(capsys, "--budget", "72359", "check", "8", "22", "--interval")
-    assert code == EXIT_OK and doc["stats"]["budget_used"] == 72359
+    code, doc, _ = run_json(capsys, "--budget", "59666", "check", "8", "22", "--interval")
+    assert code == EXIT_OK and doc["stats"]["budget_used"] == 59666
 
 
 @pytest.mark.parametrize("argv", [

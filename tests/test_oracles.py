@@ -381,10 +381,14 @@ def random_semigroups(rng, count, f_max):
 def test_atom_walks_vs_filtered_full_tables():
     """The walk for (S, f), seeded at S's own irreducible closure, is the
     full table for f cut to the T that contain S, in the table's order; so
-    the atoms are the containment-filtered full tables, in the same order.
-    Seeded random S with F <= 45 and every S of multiplicity 6 with F <= 18."""
+    the atoms are the containment-filtered full tables for every gap f of
+    S, in the same order, although `_atom_masks` walks only the f from the
+    least special gap up.  Seeded random S with F <= 45, every S of
+    multiplicity 6 with F <= 18 or 8 with F <= 22, and every S of genus
+    <= 12."""
     rng = random.Random(12)
     pool = random_semigroups(rng, 300, 45) + list(kunz_semigroups(6, 18))
+    pool += list(kunz_semigroups(8, 22)) + [t for t in semigroups_up_to_genus(12) if t.m > 1]
     assert max(s.frobenius for s in pool) >= 40
     for s in pool:
         gaps, outside = s.gap_mask, ~s.gap_mask
@@ -397,6 +401,27 @@ def test_atom_walks_vs_filtered_full_tables():
             assert walk == tuple(gm for gm in table if not gm & outside), (s, f)
             want.extend(gm for gm in table if not gm & outside and gm & sg_mask)
         assert _atom_masks(s, sg_mask, Budget()) == want, s
+
+
+def test_spectrum_witnesses_vs_fresh_atoms():
+    """Each witness component is the least, by `sort_key`, of the atoms with
+    its miss set, each atom built afresh from its gap mask rather than taken
+    from the shared `_ATOMS`.  Every S of multiplicity 8 with F <= 22."""
+    count = 0
+    for s in kunz_semigroups(8, 22):
+        if is_irreducible(s):
+            continue
+        spec = length_spectrum(s, Budget(50_000_000))
+        sg_mask = _mask_of(special_gaps(s))
+        atoms = _atom_masks(s, sg_mask, Budget())
+        for d in spec.witnesses.values():
+            for c in d.components:
+                miss = c.gap_mask & sg_mask
+                fresh = min((_from_gap_mask(gm) for gm in atoms if gm & sg_mask == miss),
+                            key=lambda t: t.sort_key())
+                assert c == fresh, (s, c)
+                count += 1
+    assert count > 1000
 
 
 def test_walk_seed_is_the_irreducible_closure():

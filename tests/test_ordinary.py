@@ -114,7 +114,7 @@ def test_min_ordinary_length_beats_family_at_28():
     # count; both pinned
     assert [list(c.generators) for c in witness.components] == [
         [2, 29], [4, 15, 17], [7, 11, 12, 17], [9, 10, 13, 16, 17, 21]]
-    assert budget.used == 330
+    assert budget.used == 296
 
 
 def test_min_ordinary_length_56_within_node_budget():
