@@ -70,6 +70,13 @@ def special_gaps(s: NumericalSemigroup) -> frozenset[int]:
     return by_pf
 
 
+@lru_cache(maxsize=None)
+def special_gap_mask(s: NumericalSemigroup) -> int:
+    """The special gaps of s as a bitmask (bit x set iff x is one), built
+    once per semigroup."""
+    return core._mask_of(special_gaps(s))
+
+
 def add_special_gap(s: NumericalSemigroup, x: int) -> NumericalSemigroup:
     """The semigroup S u {x}, defined exactly when x is a special gap."""
     if s.m == 1 or x not in special_gaps(s):

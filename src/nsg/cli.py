@@ -54,7 +54,7 @@ def _parse_int_list(text: str, offset: int = 0) -> list[int]:
     pos = 0
     for part in text.split(","):
         stripped = part.strip()
-        if not stripped.isdigit():
+        if not stripped.isdecimal():
             raise CliParseError("expected a positive integer", text, offset + pos)
         out.append(int(stripped))
         pos += len(part) + 1
@@ -71,7 +71,7 @@ def parse_semigroup(spec: str) -> NumericalSemigroup:
             body = spec[len(prefix):]
             if prefix == "gaps:":
                 return core.from_gaps(_parse_int_list(body, len(prefix)))
-            if not body.isdigit():
+            if not body.isdecimal():
                 raise CliParseError("expected an integer", spec, len(prefix))
             return build(int(body))
     return core.from_generators(_parse_int_list(spec))
@@ -314,10 +314,10 @@ def cmd_verify(args, budget):
         _verify_h28_lines(budget, failures, lines)
         _verify_short_ordinary(budget, failures, lines)
     elif sel.startswith("theorem-4.3:"):
-        body = sel.split(":", 1)[1]
-        if ".." not in body:
+        lo, dots, hi = sel.split(":", 1)[1].partition("..")
+        if not (dots and lo.isdecimal() and hi.isdecimal()):
             raise CliParseError("expected <lo>..<hi>", sel, len("theorem-4.3:"))
-        lo, hi = (int(x) for x in body.split("..", 1))
+        lo, hi = int(lo), int(hi)
         if lo > hi:
             raise CliParseError("expected <lo> <= <hi>", sel, len("theorem-4.3:"))
         for m in range(lo, hi + 1):
@@ -326,7 +326,7 @@ def cmd_verify(args, budget):
             lines.append({"m": m, "lengths": f"{got[0]}..{got[-1]}", "ok": True})
     elif sel.startswith("sweep:"):
         parts = sel.split(":")
-        if len(parts) != 3 or not (parts[1].isdigit() and parts[2].isdigit()):
+        if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
             raise CliParseError("expected sweep:<m>:<f_max>", sel, len("sweep:"))
         rep = check_interval(int(parts[1]), int(parts[2]), budget, threads=args.threads)
         lines.append({"m": rep.m, "f_max": rep.f_max, "semigroups": rep.total,

@@ -52,6 +52,15 @@ class NumericalSemigroup:
             if a > VALUE_CAP:
                 raise LimitExceeded(f"Apery value {a} above cap 2**40")
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.m, self.apery))
+
+    def __hash__(self):
+        """The dataclass hash of (m, apery), computed once: the caches keyed
+        on semigroups look it up on every call."""
+        return self._hash
+
     def validate(self):
         """Full Apery-vector validity check: a_i + a_j >= a_k whenever i + j = k mod m.
 

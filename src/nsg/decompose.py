@@ -3,10 +3,12 @@
 Gap masks (bit x set iff x is a gap) are the one working form.  Ground
 truth for "is this a decomposition" is always the direct intersection, whose
 gap mask is the union of the components' masks.  A component's private
-gaps are `mask & ~shared`, where `shared |= covered & new` collects the gaps
-two or more components have.  The cover criteria -- special gaps a
-component misses, and privately misses -- are computed separately and
-compared, never trusted alone.
+gaps are `mask & ~shared`, where `shared`, the gaps two or more components
+have, is the OR of each mask ANDed with the union of the masks before it;
+the union and `shared` come from C-level passes (`reduce`, `accumulate`
+and `map` over `or_` and `and_`).  The cover criteria -- special gaps a component misses, and
+privately misses -- are computed separately and compared, never trusted
+alone.
 
 Irreducible oversemigroups ("atoms") have one source, `_atom_masks`: every
 irreducible T containing S has F(T) among the gaps of S, so the atoms come
@@ -16,6 +18,10 @@ of them, and every other x in (f/2, f) an element.  It turns into gaps only
 gaps of S, so every node contains S, and reverse moves lead from any
 irreducible T containing S with F(T) = f back to T0, so it reaches exactly
 those T; `_atom_masks` checks the containment and raises when it fails.
+Each T other than T0 has one parent, the T' its least low element outside
+S is swapped out of, so the walk is a reverse-search tree: a node makes
+only the moves that insert an element below its own least one (`least`),
+each node is produced once, and no set of seen nodes is kept.
 An atom misses a special gap x <= F(T) = f, so gaps f below S's least
 special gap are not walked.  The walk is cached on f and the gaps of S
 below f, and ticks the budget by w(f) = 1 + f*f // 2**14 per node, since
@@ -37,10 +43,12 @@ import os
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import reduce
+from itertools import accumulate, filterfalse, islice, repeat
+from operator import and_, or_
 
 from . import core
-from .classify import is_irreducible, special_gaps
+from .classify import is_irreducible, special_gap_mask, special_gaps
 from .core import N, NumericalSemigroup, _bits, _mask_of
 from .errors import BudgetExceeded, InternalAssertion, NotOversemigroup
 
@@ -79,6 +87,8 @@ def _budget(b) -> Budget:
 _WALKS: dict[tuple[int, int], tuple[int, ...]] = {}
 #: semigroups built from walk entries, by gap mask; see _atom
 _ATOMS: dict[int, NumericalSemigroup] = {}
+#: gap masks of components that is_decomposition has found irreducible
+_IRREDUCIBLE: set[int] = set()
 
 
 def _irreducible_gapmasks_with_frobenius(f: int, gaps: int = -1, budget=None) -> tuple[int, ...]:
@@ -108,6 +118,15 @@ def _irreducible_gapmasks_with_frobenius(f: int, gaps: int = -1, budget=None) ->
     is reached from T0 (Blanco and Rosales, Forum Math. 2013, for the full
     table).
 
+    That T' is T's one parent, so the walk is a reverse search (Avis and
+    Fukuda, Discrete Appl. Math. 1996) over the tree it spans.  Each stack
+    entry carries `least`, min E of its node (floor(f/2) + 1 at T0, where E
+    is empty), and a node expands only the moves whose inserted element
+    h = f - g is below `least`: exactly the moves whose result has the node
+    as its parent, and whose `least` is h.  So every node is produced once,
+    and no set of seen nodes is kept.  The sum test runs only on those g,
+    and stops once none of them is left.
+
     The result depends on f and the gaps of S in [1, f) alone, which is the
     cache key: the walks for all f < m of H(m) are the full tables and
     shared with `irreducibles_with_frobenius`.  A node makes up to f/2
@@ -127,36 +146,37 @@ def _irreducible_gapmasks_with_frobenius(f: int, gaps: int = -1, budget=None) ->
     if got is not None:
         b.tick(w * len(got))
         return got
-    full = (1 << (f + 1)) - 1
+    elems_mask = (1 << (f + 1)) - 2  # [1, f]
     low_half = (1 << (f // 2 + 1)) - 1  # x with 2x <= f
     allowed = below & ~low_half  # movable g with f/2 < g < f
     seed = low_half & ~1 | (1 << f)
     for e in _bits(low_half & ~1 & ~below):  # elements of S in [1, f/2]
         seed ^= 1 << e | 1 << (f - e)
-    seen = {seed}
-    stack = [seed]
+    nodes = []
+    stack = [(seed, f // 2 + 1)]
     while stack:
-        gm = stack.pop()
+        gm, least = stack.pop()
         b.tick(w)
-        elems = ~gm & full & ~1
-        # sums of two nonzero elements (elems * 2**x is elems shifted by x);
-        # bits above f are never gaps
-        sums = 0
+        nodes.append(gm)
+        elems = elems_mask & ~gm
+        # the movable g whose move makes a child: h = f - g below `least`
+        gens = elems & allowed & -(1 << (f - least + 1))
+        # drop the sums of two nonzero elements (elems * 2**x is elems
+        # shifted by x), until no candidate is left
         e = elems & low_half
-        while e:
+        while e and gens:
             low = e & -e
-            sums |= elems * low
+            gens &= ~(elems * low)
             e ^= low
-        gens = elems & ~sums & allowed
         while gens:
             g_bit = gens & -gens
             gens ^= g_bit
             h = f - (g_bit.bit_length() - 1)
-            cand = gm & ~(1 << h) | g_bit
-            if cand not in seen and not ((elems ^ g_bit | 1 << h) << h) & cand:
-                seen.add(cand)
-                stack.append(cand)
-    got = _WALKS[key] = tuple(sorted(seen))
+            swap = g_bit | 1 << h  # g turns into a gap, h into an element
+            cand = gm ^ swap
+            if not ((elems ^ swap) << h) & cand:
+                stack.append((cand, h))
+    got = _WALKS[key] = tuple(sorted(nodes))
     return got
 
 
@@ -271,7 +291,7 @@ def irreducible_oversemigroups(s: NumericalSemigroup, budget=None) -> list[Numer
     b = _budget(budget)
     if s.m == 1:
         return []
-    atoms = map(core._from_gap_mask, _atom_masks(s, _mask_of(special_gaps(s)), b))
+    atoms = map(core._from_gap_mask, _atom_masks(s, special_gap_mask(s), b))
     return sorted(atoms, key=NumericalSemigroup.sort_key)
 
 
@@ -307,41 +327,47 @@ def _cover_criteria(masks: list[int], shared: int, sg_mask: int) -> tuple[bool, 
     Returns (every special gap is missed by some component, every component
     misses a special gap no other component misses).
     """
-    covered = 0
-    for mk in masks:
-        covered |= mk & sg_mask
-    return covered == sg_mask, all(mk & sg_mask & ~shared for mk in masks)
+    covered = reduce(or_, masks, 0) & sg_mask
+    return covered == sg_mask, all(map(and_, masks, repeat(sg_mask & ~shared)))
 
 
 def is_decomposition(s: NumericalSemigroup, components) -> DecompositionCheck:
     """Verdict on S = T_1 n ... n T_k, by direct intersection.
 
-    The intersection's gap set is the union of the components' gap masks.
-    One pass gives that union and `shared`; dropping T_i leaves the union
-    unchanged iff T_i has no gap outside `shared`, which decides
-    irredundancy.  A semigroup is built for the intersection only when it is
-    not S.  The special-gap cover and private-gap criteria are a separate
-    cross-check; a disagreement raises InternalAssertion.  All of it is
-    linear in the number of components.
+    The intersection's gap set is the union of the components' gap masks,
+    and `shared`, the gaps two or more components have, is the OR of each
+    mask ANDed with the union of the masks before it: C-level passes of
+    `reduce`, `accumulate` and `map` over `or_` and `and_`.  Dropping T_i
+    leaves the union unchanged iff T_i has no gap outside `shared`, which
+    decides irredundancy; the redundant indices are listed only when some
+    T_i has none.  The components are classified only when a gap mask is
+    not yet in `_IRREDUCIBLE`, the masks of components found irreducible
+    before, and the INVALID reason names the first reducible one.  A
+    semigroup is built for the intersection only when it is not S.  The
+    special-gap cover and private-gap criteria are a separate cross-check;
+    a disagreement raises InternalAssertion.  All of it is linear in the
+    number of components.
     """
     comps = tuple(components)
     if not comps:
         return DecompositionCheck(INVALID, "no components", N)
     masks = [c.gap_mask for c in comps]
-    union = shared = 0
-    for mk in masks:
-        shared |= union & mk
-        union |= mk
+    union = reduce(or_, masks)
+    shared = reduce(or_, map(and_, masks, accumulate(masks, or_, initial=0)))
     target = s.gap_mask
     valid = union == target
     inter = s if valid else core._from_gap_mask(union)
-    for c in comps:
-        if not is_irreducible(c):
-            return DecompositionCheck(INVALID, f"component {c} is not irreducible", inter)
-    redundant = [i for i, mk in enumerate(masks) if not mk & ~shared] if valid else []
+    if not all(map(_IRREDUCIBLE.__contains__, masks)):
+        bad = next(filterfalse(is_irreducible, comps), None)
+        if bad is not None:
+            return DecompositionCheck(INVALID, f"component {bad} is not irreducible", inter)
+        _IRREDUCIBLE.update(masks)
+    redundant = []
+    if valid and not all(map(and_, masks, repeat(~shared))):
+        redundant = [i for i, mk in enumerate(masks) if not mk & ~shared]
 
-    if s.m != 1 and all(not mk & ~target for mk in masks):  # all oversemigroups
-        cover_ok, cover_irr = _cover_criteria(masks, shared, _mask_of(special_gaps(s)))
+    if s.m != 1 and not union & ~target:  # all oversemigroups
+        cover_ok, cover_irr = _cover_criteria(masks, shared, special_gap_mask(s))
         # validity through the miss cover, irredundancy through miss-set privates
         if cover_ok != valid or valid and cover_irr == bool(redundant):
             raise InternalAssertion(
@@ -388,8 +414,7 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
     if s.m == 1 or is_irreducible(s):
         return LengthSpectrum((1,), {1: Decomposition((s,))})
 
-    sg = special_gaps(s)
-    full = _mask_of(sg)
+    full = special_gap_mask(s)
 
     # atoms grouped by miss set, kept as the special-gap part of the gap mask
     by_miss: dict[int, list[int]] = {}
@@ -440,7 +465,7 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
     if not found:
         raise InternalAssertion(f"no irredundant cover found for reducible {s}")
     lengths = tuple(sorted(found))
-    if lengths[-1] > len(sg):
+    if lengths[-1] > full.bit_count():
         raise InternalAssertion("spectrum exceeds special-gap count")
 
     # each miss set used by a witness is represented by its least atom, so
@@ -570,13 +595,13 @@ class MsBoundReport:
 def _msbound_row(s: NumericalSemigroup, b: Budget):
     """None unless s has m - 1 special gaps; else (max #mset over its atoms,
     [(apery-or-gaps of T, #mset) for each atom with #mset > m/2])."""
-    sg = special_gaps(s)
-    if len(sg) != s.m - 1:
+    sg_mask = special_gap_mask(s)
+    if sg_mask.bit_count() != s.m - 1:
         return None
     agree = _agree_mask(s)
     max_mset = 0
     viol = []
-    for gm in _atom_masks(s, _mask_of(sg), b):
+    for gm in _atom_masks(s, sg_mask, b):
         sz = (gm & agree).bit_count()
         max_mset = max(max_mset, sz)
         if 2 * sz > s.m:
@@ -621,7 +646,9 @@ def minimum_cover(full: int, masks, budget=None):
     Equal masks are merged (the first index wins) and dominated masks
     (subsets of another) discarded up front: taken by (-popcount, index), a
     mask is dominated iff the AND over its bits of the per-bit holder bitsets
-    of kept masks is nonzero.  The search branches on the uncovered bit
+    of kept masks is nonzero.  Each mask is first tested against the kept
+    mask that dominated the last dominated one, which often holds it too
+    and decides it without the AND.  The search branches on the uncovered bit
     contained in the fewest kept masks, ties to the lowest bit, with
     iterative deepening on the cover size.
 
@@ -643,14 +670,23 @@ def minimum_cover(full: int, masks, budget=None):
     for idx, mk in enumerate(masks):
         first.setdefault(mk & full, idx)
     # keep only maximal masks; holders[e] has bit i set iff kept[i] holds e.
-    # The empty mask keeps common == -1, so it is never kept.
+    # `last` is the kept mask that dominated the previous dominated mask,
+    # tried first; the empty mask is dominated by it, and by the holders'
+    # AND (-1, with no bit to AND), so it is never kept.
     kept: list[tuple[int, int]] = []
     holders = dict.fromkeys(_bits(full), 0)
-    for mk, idx in sorted(first.items(), key=lambda p: (-p[0].bit_count(), p[1])):
+    last = 0
+    # `first` is in index order and the sort is stable, so ties keep it
+    for mk in sorted(first, key=int.bit_count, reverse=True):
+        idx = first[mk]
+        if not mk & ~last:
+            continue
         common = -1
         for e in _bits(mk):
             common &= holders[e]
-        if not common:
+        if common:
+            last = kept[(common & -common).bit_length() - 1][0]
+        else:
             for e in _bits(mk):
                 holders[e] |= 1 << len(kept)
             kept.append((mk, idx))

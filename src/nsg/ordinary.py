@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from . import core
 from .classify import PSEUDOSYMMETRIC, SYMMETRIC, classify
@@ -132,9 +133,8 @@ def D(m: int, ell: int) -> DFamily:
     class) for the rest.  Verified irredundant on construction."""
     if m < 4:
         raise OutOfRange("family defined for multiplicity >= 4")
-    sg = special_gaps_of_ordinary(m)
-    if not 0 <= ell <= len(sg):
-        raise OutOfRange(f"ell must lie in [0, {len(sg)}]")
+    if not 0 <= ell <= m // 2:  # H(m) has m // 2 special gaps
+        raise OutOfRange(f"ell must lie in [0, {m // 2}]")
     # tail gaps are [lo, top]; per j, the largest odd multiple of 2^j <= top
     top, lo = m - 1 - ell, (m + 1) // 2
     comps: list[NumericalSemigroup] = []
@@ -144,9 +144,9 @@ def D(m: int, ell: int) -> DFamily:
         if f >= lo:
             comps.append(I_irr(f))
             tags.append(("I", f))
-    for g in sg[:ell]:
-        comps.append(T_irr(g))
-        tags.append(("T", g))
+    tails = range(m - 1, top, -1)  # the ell largest special gaps
+    comps += map(T_irr, tails)
+    tags += zip(repeat("T"), tails)
     fam = DFamily(m, ell, tuple(comps), tuple(tags))
     check = is_decomposition(H(m), fam.components)
     if check.verdict != VALID_IRREDUNDANT:

@@ -56,6 +56,12 @@ def test_parse_errors_report_position():
     assert ei.value.pos == 7
     with pytest.raises(CliParseError):
         parse_semigroup("H:abc")
+    # a digit that int() rejects is a parse error too, not int()'s message
+    with pytest.raises(CliParseError) as ei:
+        parse_semigroup("5,\u00b2")
+    assert ei.value.pos == 2
+    with pytest.raises(CliParseError):
+        parse_semigroup("T:\u00b2")
 
 
 # Specs near the 2**40 cap, family bodies, and malformed text.  Numbers in
@@ -309,6 +315,21 @@ def test_verify_range_selector(capsys):
 def test_verify_reversed_range_exits_2(capsys):
     code, out, err = run(capsys, "verify", "theorem-4.3:12..4")
     assert code == EXIT_USAGE and out == "" and "<lo> <= <hi>" in err
+
+
+@pytest.mark.parametrize("sel", ["theorem-4.3:4..x", "theorem-4.3:5..5..6",
+                                 "theorem-4.3:4", "theorem-4.3:-1..5", "theorem-4.3:\u00b2..5"])
+def test_verify_malformed_range_exits_2(capsys, sel):
+    """A selector body that is not two decimal integers around one `..` is
+    a parse error at the body, not Python's int() message."""
+    code, out, err = run(capsys, "verify", sel)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: expected <lo>..<hi> at position 12: {sel!r}\n"
+
+
+def test_verify_sweep_selector_rejects_non_decimal_digits(capsys):
+    code, out, err = run(capsys, "verify", "sweep:\u00b2:5")
+    assert code == EXIT_USAGE and out == "" and "expected sweep:<m>:<f_max>" in err
 
 
 def test_verify_sweep_selector(capsys):

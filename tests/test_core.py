@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsg import (N, AperySet, LimitExceeded, NotClosed, NotCofinite, NotElement,
-                 NumericalSemigroup, from_gaps, from_generators, intersect_all)
+                 NumericalSemigroup, classify, from_gaps, from_generators, intersect_all,
+                 semigroups_up_to_genus)
 
 
 def test_from_generators_basic():
@@ -207,10 +208,20 @@ def test_repr_lists_minimal_generators():
 
 
 def test_hashable_and_equal_by_coordinates():
+    """Equal semigroups built from gaps and from generators are equal and
+    hash equal, to the dataclass hash of (m, apery), before and after the
+    hash is cached, so they share one entry of the caches keyed on them."""
     a = from_generators([3, 5, 7])
     b = from_gaps([1, 2, 4])
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+    for s in semigroups_up_to_genus(8):
+        a = from_generators(s.generators)
+        b = from_gaps(s.gaps)
+        assert a == b, s
+        assert hash(a) == hash(b) == hash((s.m, s.apery)) == hash(a) == hash(b), s
+        if s.m > 1:
+            assert classify(a) is classify(b), s
 
 
 @settings(max_examples=60, deadline=None)

@@ -21,6 +21,7 @@ from nsg import (Budget, NotClosed, NotElement, NotSpecialGap, add_special_gap,
                  pseudo_frobenius, semigroups_up_to_genus, special_gaps, N,
                  PSEUDOSYMMETRIC, REDUCIBLE, SYMMETRIC, VALID_IRREDUNDANT,
                  VALID_REDUNDANT)
+from nsg import decompose
 from nsg.core import _bits, _closure_witness, _from_gap_mask, _mask_of
 from nsg.decompose import (_atom_masks, _cover_criteria,
                            _irreducible_gapmasks_with_frobenius, oversemigroups)
@@ -186,6 +187,34 @@ def bf_swap_tree(f):
                 seen.add(cand)
                 stack.append(cand)
     return seen
+
+
+def ref_swap_walk(f, gaps):
+    """Sorted gap masks of the walk for (S, f), where `gaps` holds the gaps
+    of S, as a graph search from T0(S, f) over every swap move, with a set
+    of the nodes seen: the walk before it became a reverse search."""
+    full = (1 << (f + 1)) - 1
+    low_half = (1 << (f // 2 + 1)) - 1
+    below = gaps & ((1 << f) - 2)
+    allowed = below & ~low_half
+    seed = low_half & ~1 | (1 << f)
+    for e in _bits(low_half & ~1 & ~below):
+        seed ^= 1 << e | 1 << (f - e)
+    seen = {seed}
+    stack = [seed]
+    while stack:
+        gm = stack.pop()
+        elems = ~gm & full & ~1
+        sums = 0
+        for x in _bits(elems & low_half):
+            sums |= elems << x
+        for g in _bits(elems & ~sums & allowed):
+            h = f - g
+            cand = gm & ~(1 << h) | 1 << g
+            if cand not in seen and not ((elems ^ 1 << g | 1 << h) << h) & cand:
+                seen.add(cand)
+                stack.append(cand)
+    return tuple(sorted(seen))
 
 
 def bf_atoms(s):
@@ -422,6 +451,28 @@ def test_spectrum_witnesses_vs_fresh_atoms():
                 assert c == fresh, (s, c)
                 count += 1
     assert count > 1000
+
+
+def test_tree_walk_vs_seen_set_walk():
+    """Every walk, run cold, equals the seen-set graph search, produces no
+    node twice and ticks exactly w(f) per node: for each gap f of every S
+    of multiplicity 8 with F <= 22, of genus <= 12, and of 300 seeded random
+    S with F <= 45; for the full tables with f <= 50; and for a few walks
+    with f >= 128, where w(f) > 1."""
+    rng = random.Random(12)
+    pool = random_semigroups(rng, 300, 45) + list(kunz_semigroups(8, 22))
+    pool += [t for t in semigroups_up_to_genus(12) if t.m > 1]
+    pool += [from_generators(g) for g in ([2, 131], [3, 131], [4, 130, 131, 133])]
+    keys = {(f, s.gap_mask & ((1 << f) - 2)) for s in pool for f in s.gaps}
+    keys |= {(f, (1 << f) - 2) for f in range(1, 51)}
+    assert max(f for f, _ in keys) >= 128
+    for f, below in sorted(keys):
+        decompose._WALKS.pop((f, below), None)
+        b = Budget()
+        got = _irreducible_gapmasks_with_frobenius(f, below, b)
+        assert len(set(got)) == len(got), (f, below)
+        assert b.used == (1 + (f * f >> 14)) * len(got), (f, below)
+        assert got == ref_swap_walk(f, below), (f, below)
 
 
 def test_walk_seed_is_the_irreducible_closure():
@@ -727,23 +778,56 @@ def test_cover_criterion_vs_intersection_small_subsets():
 
 
 def test_is_decomposition_agrees_with_brute_force_verdict():
+    """Every 2 or 3 atoms, and each such list padded with one more atom:
+    the verdict follows the literal union of gap sets, and VALID_REDUNDANT
+    lists exactly the indices whose literal leave-one-out intersection is
+    still S."""
+    redundant_seen = 0
     for s in semigroups_up_to_genus(6):
         if s.m == 1 or is_irreducible(s):
             continue
         atoms = irreducible_oversemigroups(s)
         for k in (2, 3):
             for sub in combinations(atoms, k):
-                check = is_decomposition(s, sub)
-                union = frozenset()
-                for t in sub:
-                    union |= t.gap_set
-                assert (check.verdict != "invalid") == (union == s.gap_set)
-                assert check.intersection.gap_mask == _mask_of(union)
-                if union == s.gap_set:
-                    # literal leave-one-out intersections
-                    redundant = any(intersect_all(sub[:i] + sub[i + 1:]) == s
-                                    for i in range(k))
-                    assert (check.verdict == VALID_REDUNDANT) == redundant, (s, sub)
+                for comps in [sub] + [sub + (t,) for t in atoms]:
+                    check = is_decomposition(s, comps)
+                    union = frozenset()
+                    for t in comps:
+                        union |= t.gap_set
+                    assert (check.verdict != "invalid") == (union == s.gap_set)
+                    assert check.intersection.gap_mask == _mask_of(union)
+                    if union != s.gap_set:
+                        continue
+                    redundant = [i for i in range(len(comps))
+                                 if intersect_all(comps[:i] + comps[i + 1:]) == s]
+                    if redundant:
+                        assert check.verdict == VALID_REDUNDANT, (s, comps)
+                        assert check.reason == f"components {redundant} are redundant", (s, comps)
+                        redundant_seen += 1
+                    else:
+                        assert check.verdict == VALID_IRREDUNDANT, (s, comps)
+    assert redundant_seen > 100
+
+
+def test_is_decomposition_names_the_first_reducible_component():
+    """With reducible semigroups mixed into a list of atoms, the INVALID
+    reason names the first of them in list order, found by a plain loop
+    over `classify`."""
+    rng = random.Random(19)
+    checked = 0
+    for s in semigroups_up_to_genus(7):
+        if s.m == 1 or is_irreducible(s):
+            continue
+        atoms = irreducible_oversemigroups(s)
+        reducible = [t for t in oversemigroups(s) if t.m != 1 and classify(t).kind == REDUCIBLE]
+        comps = atoms + rng.sample(reducible, min(2, len(reducible)))
+        rng.shuffle(comps)
+        first = next(c for c in comps if classify(c).kind == REDUCIBLE)
+        check = is_decomposition(s, comps)
+        assert check.verdict == "invalid", (s, comps)
+        assert check.reason == f"component {first} is not irreducible", (s, comps)
+        checked += 1
+    assert checked > 50
 
 
 def test_spectrum_witnesses_again_verified_independently():
