@@ -58,8 +58,6 @@ def _parse_int_list(text: str, offset: int = 0) -> list[int]:
             raise CliParseError("expected a positive integer", text, offset + pos)
         out.append(int(stripped))
         pos += len(part) + 1
-    if not out:
-        raise CliParseError("empty list", text, offset)
     return out
 
 
@@ -77,9 +75,37 @@ def parse_semigroup(spec: str) -> NumericalSemigroup:
     return core.from_generators(_parse_int_list(spec))
 
 
+def _genus_floor(spec: str) -> int:
+    """A lower bound on the genus of the semigroup `spec` names, read before
+    it is built: m - 1 for H:m, exactly floor(f/2) + 1 for T:f and I:f, and
+    the multiplicity less one for a generator list, which is first checked
+    as `from_generators` checks it, so a bad list raises what
+    `parse_semigroup` would.  0 for a gaps: list, which the spec spells
+    out, and for an H, T or I argument that `parse_semigroup` rejects."""
+    kind, colon, body = spec.partition(":")
+    if not colon:
+        return core._generator_list(_parse_int_list(spec))[0] - 1
+    if kind not in ("H", "T", "I") or not body.isdecimal():
+        return 0
+    n = int(body)
+    if kind == "H":
+        return n - 1
+    return n // 2 + 1 if n else 0  # T:0 and I:0 are rejected
+
+
+def _reserve(nodes: int, budget: Budget):
+    """Tick `nodes`, and so raise BudgetExceeded, when they are more than the
+    budget has left; tick nothing otherwise.  A request calls it with a lower
+    bound on what it will tick before it builds anything of that size."""
+    if nodes > budget.limit - budget.used:
+        budget.tick(nodes)
+
+
 def _parse_metered(spec: str, budget: Budget) -> NumericalSemigroup:
     """Parse a semigroup and tick the budget by its genus, before any caller
-    lists or masks its gaps (the genus is O(m) from the Apery vector)."""
+    lists or masks its gaps (the genus is O(m) from the Apery vector).  A
+    spec whose genus floor is past the budget left stops before it is built."""
+    _reserve(_genus_floor(spec), budget)
     s = parse_semigroup(spec)
     budget.tick(s.genus)
     return s
@@ -131,14 +157,12 @@ def _print_plain(result, indent=""):
                 _print_plain(v, indent + "  ")
             else:
                 print(f"{indent}{k}: {v}")
-    elif isinstance(result, (list, tuple)):
+    else:
         for v in result:
             if isinstance(v, (dict, list, tuple)):
                 _print_plain(v, indent + "  ")
             else:
                 print(f"{indent}{v}")
-    else:
-        print(f"{indent}{result}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +218,7 @@ def _family_minimum(m: int) -> int | None:
 
 def cmd_ordinary(args, budget):
     m = args.m
+    _reserve(m - 1, budget)  # every branch builds H(m) or lists its special gaps
     if args.min:
         size, witness = ordinary.min_ordinary_length(m, budget)
         return {
@@ -435,7 +460,7 @@ def main(argv=None) -> int:
     except (InternalAssertion, SearchFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (CliParseError, NsgError, ValueError) as exc:
+    except (NsgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit(args, args.command, vars_input(args), result, budget, started)

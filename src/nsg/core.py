@@ -317,6 +317,21 @@ def from_gaps(gaps) -> NumericalSemigroup:
     return _from_gap_mask(mask)
 
 
+def _generator_list(gens) -> list[int]:
+    """The distinct nonzero generators, ascending, checked before anything is
+    built from them: positive, gcd 1, and none above the cap unless 1 is one
+    of them.  The first is the multiplicity."""
+    gen_list = sorted({int(g) for g in gens if g != 0})
+    if not gen_list or gen_list[0] < 0:
+        raise ValueError("generators must be positive integers")
+    g = gcd(*gen_list)
+    if g != 1:
+        raise NotCofinite(f"gcd of generators is {g}, complement is infinite")
+    if gen_list[0] > 1 and gen_list[-1] > VALUE_CAP:
+        raise LimitExceeded(f"generator {gen_list[-1]} above cap 2**40")
+    return gen_list
+
+
 def from_generators(gens) -> NumericalSemigroup:
     """Smallest additively closed set containing 0 and the given generators.
 
@@ -324,17 +339,10 @@ def from_generators(gens) -> NumericalSemigroup:
     residue i mod m, each other generator an edge (Nijenhuis 1979): Dijkstra
     over the m residues, in O(m) memory and with no bound on the conductor.
     """
-    gen_list = sorted({int(g) for g in gens if g != 0})
-    if not gen_list or gen_list[0] < 0:
-        raise ValueError("generators must be positive integers")
-    g = gcd(*gen_list)
-    if g != 1:
-        raise NotCofinite(f"gcd of generators is {g}, complement is infinite")
+    gen_list = _generator_list(gens)
     m = gen_list[0]
     if m == 1:
         return N
-    if gen_list[-1] > VALUE_CAP:
-        raise LimitExceeded(f"generator {gen_list[-1]} above cap 2**40")
 
     apery = [0] + [inf] * (m - 1)
     heap = [(0, 0)]

@@ -428,7 +428,7 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
     for i in range(nsets - 1, -1, -1):
         suffix_union[i] = suffix_union[i + 1] | sets[i]
 
-    found: dict[int, tuple[int, ...]] = {}
+    found: dict[int, tuple[int, ...]] = {}  # length -> miss masks of its first cover
     have = 0  # bit k set iff found has length k
 
     def rec(start, chosen, covered, shared):
@@ -446,17 +446,16 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
         want = ((1 << reach) - 1) << (k + 1)  # lengths k + 1 .. k + reach
         if have & want == want:
             return  # every length this subtree can reach already has a witness
-        chosen_sets = [sets[c] for c in chosen]
         for j in range(start, nsets):
             sj = sets[j]
             if sj & ~covered == 0:
                 continue  # nothing new: sj could never gain a private
             now_shared = shared | covered & sj
-            for sc in chosen_sets:
+            for sc in chosen:
                 if not sc & ~now_shared:
                     break  # an earlier choice just lost its last private gap
             else:
-                chosen.append(j)
+                chosen.append(sj)
                 rec(j + 1, chosen, covered | sj, now_shared)
                 chosen.pop()
 
@@ -470,11 +469,11 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
 
     # each miss set used by a witness is represented by its least atom, so
     # witnesses do not depend on the order the atoms were enumerated in
-    rep = {j: min(map(_atom, by_miss[sets[j]]), key=NumericalSemigroup.sort_key)
-           for j in set().union(*found.values())}
+    rep = {mk: min(map(_atom, by_miss[mk]), key=NumericalSemigroup.sort_key)
+           for mk in set().union(*found.values())}
     witnesses = {}
     for k in lengths:
-        comps = tuple(rep[j] for j in found[k])
+        comps = tuple(rep[mk] for mk in found[k])
         check = is_decomposition(s, comps)
         if check.verdict != VALID_IRREDUNDANT:
             raise InternalAssertion(
@@ -658,12 +657,11 @@ def minimum_cover(full: int, masks, budget=None):
     lowest bit of that AND is the first mask a scan in kept order would
     meet.  So a node with two sets left tries each mask holding the
     branching bit in order, ANDs the holders of the uncovered bits it
-    misses, fewest holders first, and stops at the first nonzero AND.  With
-    d >= 3 sets left a node stops when d times the most uncovered bits one
-    kept mask holds is below the uncovered count.  Each cut removes only
-    subtrees without a cover, so (size, indices) are the unbounded search's.
-    The budget is ticked once per node and once for the round k = 1; the
-    nodes with two sets left are the leaves.
+    misses, fewest holders first, and stops at the first nonzero AND.  That
+    holder AND with two sets left is the one cut; it removes only subtrees
+    without a cover, so (size, indices) are the unbounded search's.  The
+    budget is ticked once per node and once for the round k = 1; the nodes
+    with two sets left are the leaves.
     """
     b = _budget(budget)
     first: dict[int, int] = {}
@@ -715,9 +713,6 @@ def minimum_cover(full: int, masks, budget=None):
                     return chosen + [idx, kept[(both & -both).bit_length() - 1][1]]
             return None
         e = next(e for e in order if uncovered >> e & 1)
-        if uncovered.bit_count() > depth_left * max((mk & uncovered).bit_count()
-                                                    for mk, _ in kept):
-            return None
         # no child covers everything: that cover would be smaller than k, and
         # the previous round, which is complete, would have found it
         for mk, idx in by_bit[e]:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsg import cli, decompose, from_generators, is_decomposition, length_spectrum
+from nsg import (cli, core, decompose, from_generators, is_decomposition, length_spectrum,
+                 ordinary)
 from nsg.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                      CliParseError, parse_semigroup)
 from nsg.core import VALUE_CAP, NumericalSemigroup
@@ -62,6 +63,11 @@ def test_parse_errors_report_position():
     assert ei.value.pos == 2
     with pytest.raises(CliParseError):
         parse_semigroup("T:\u00b2")
+    # an empty list is one empty part, which is not a positive integer
+    for spec, pos in (("", 0), ("gaps:", 5)):
+        with pytest.raises(CliParseError, match="expected a positive integer") as ei:
+            parse_semigroup(spec)
+        assert ei.value.pos == pos
 
 
 # Specs near the 2**40 cap, family bodies, and malformed text.  Numbers in
@@ -300,6 +306,9 @@ def test_verify_tables(capsys):
     assert code == EXIT_OK
     assert doc["result"]["failed"] == 0
     assert doc["result"]["passed"] > 30
+    code, doc, _ = run_json(capsys, "verify", "remark-4.4")
+    assert code == EXIT_OK
+    assert (doc["result"]["passed"], doc["result"]["failed"]) == (2, 0)
 
 
 def test_verify_alias(capsys):
@@ -413,6 +422,64 @@ def test_family_stops_at_the_budget_before_building(capsys, argv):
     assert code == EXIT_BUDGET and out == ""
     assert err == "error: enumeration budget exceeded: 11 > 10 nodes\n"
     assert time.perf_counter() - t0 < 5
+
+
+def _built(*args, **kwargs):
+    raise AssertionError("built before the budget was checked")
+
+
+def _forbid_builds(monkeypatch):
+    """Make every builder a request can reach fail the test at once, so a
+    request that builds before it checks the budget fails instead of
+    allocating memory of the order of its argument."""
+    for name in ("H", "T_irr", "I_irr", "min_ordinary_length", "special_gaps_of_ordinary"):
+        monkeypatch.setattr(ordinary, name, _built)
+    monkeypatch.setattr(core, "from_generators", _built)
+
+
+@pytest.mark.parametrize("argv", [
+    ("info", "H:300000000"),
+    ("info", "T:300000000"),
+    ("info", "I:300000000"),
+    ("lengths", "H:300000000"),
+    ("info", "300000000,300000001"),  # from_generators allocates m entries
+    ("info", "30000000,30000001"),  # F is above the value cap
+    ("ordinary", "300000000"),
+    ("ordinary", "300000000", "--min"),
+])
+def test_request_over_the_budget_stops_before_building(capsys, monkeypatch, argv):
+    """A lower bound on the genus, read off the request, is compared with
+    the budget left before anything of that size is built."""
+    monkeypatch.delenv("NSG_BUDGET", raising=False)
+    _forbid_builds(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: enumeration budget exceeded: 5000001 > 5000000 nodes\n"
+
+
+@pytest.mark.parametrize("spec, genus", [("H:40", 39), ("T:41", 21), ("I:40", 21)])
+def test_family_spec_genus_floor_is_exact(capsys, monkeypatch, spec, genus):
+    """The floor is the genus for H, T and I: a budget of exactly the genus
+    answers and uses it, one node less stops before the build."""
+    code, doc, _ = run_json(capsys, "--budget", str(genus), "info", spec)
+    assert code == EXIT_OK and doc["stats"]["budget_used"] == genus
+    _forbid_builds(monkeypatch)
+    code, out, err = run(capsys, "--budget", str(genus - 1), "info", spec)
+    assert code == EXIT_BUDGET and out == ""
+    assert err == f"error: enumeration budget exceeded: {genus} > {genus - 1} nodes\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("info", "H:0"), "ordinary semigroups start at multiplicity 2"),
+    (("info", "T:0"), "Frobenius number must be positive"),
+    (("info", "I:0"), "Frobenius number must be positive"),
+    (("info", "300000000,300000002"), "gcd of generators is 2"),
+    (("info", "0"), "generators must be positive integers"),
+])
+def test_invalid_spec_exits_2_under_any_budget(capsys, argv, message):
+    """An argument the builder rejects has no genus floor to stop it first."""
+    code, out, err = run(capsys, "--budget", "0", *argv)
+    assert code == EXIT_USAGE and out == "" and message in err
 
 
 def test_large_atom_walk_stops_at_the_budget(capsys):

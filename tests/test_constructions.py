@@ -41,20 +41,30 @@ def test_m6_covers_example():
 
 def test_m6_covers_small_msets_with_many_special_gaps():
     hits = 0
-    for s in kunz_semigroups(6, 26):
-        sgn = len(special_gaps(s))
-        if sgn < 4:
-            continue
-        pair = m6_covers(s)
-        for t in (pair.T, pair.T_prime):
-            if t == s:
+    tags = set()
+    for prefer_alt in (False, True):
+        for s in kunz_semigroups(6, 26):
+            pair = m6_covers(s, prefer_alt=prefer_alt)
+            for ch in pair.choices.values():
+                tags.add(ch["branch"])
+                if ch.get("degenerate"):
+                    tags.add("degenerate")
+            sgn = len(special_gaps(s))
+            if sgn < 4:
                 continue
-            ms = m_set(s, t)
-            assert len(ms) <= 3 and 3 not in ms and ms <= {1, 2, 4, 5}
-        if sgn == 5:
-            assert 2 in (len(m_set(s, pair.T)), len(m_set(s, pair.T_prime)))
-            hits += 1
+            for t in (pair.T, pair.T_prime):
+                if t == s:
+                    continue
+                ms = m_set(s, t)
+                assert len(ms) <= 3 and 3 not in ms and ms <= {1, 2, 4, 5}
+            if sgn == 5:
+                assert 2 in (len(m_set(s, pair.T)), len(m_set(s, pair.T_prime)))
+                hits += 1
     assert hits > 0  # the sweep actually exercised the tight case
+    # every branch of the construction ran, both tie choices and the
+    # degenerate T = S among them (it occurs only below four special gaps)
+    assert tags == {"halves", "max_feasible", "both_reducible", "first_reducible",
+                    "fourth_reducible", "tie_default", "tie_alt", "degenerate"}
 
 
 def test_m6_covers_wrong_multiplicity():

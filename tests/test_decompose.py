@@ -261,6 +261,7 @@ def test_minimum_cover():
 
 
 def test_irreducible_oversemigroups_atoms():
+    assert irreducible_oversemigroups(N) == []  # N has no special gap to miss
     s = from_generators([5, 12, 13, 14, 16])
     atoms = irreducible_oversemigroups(s)
     assert atoms == sorted(atoms, key=lambda t: t.sort_key())

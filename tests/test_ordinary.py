@@ -118,20 +118,24 @@ def test_min_ordinary_length_beats_family_at_28():
 
 
 def test_min_ordinary_length_56_within_node_budget():
-    # the cover search's bounds keep H(56) at about 20,000 nodes (atom tables
-    # included); the unpruned search needs over 255,000
-    budget = Budget(100_000)
-    size, witness = min_ordinary_length(56, budget)
-    assert size == witness.length == 4
+    # the cover search's holder ANDs keep H(56) at 15,407 nodes (atom tables
+    # included); the unpruned search needs over 255,000.  The counts of
+    # H(58) and H(60) are pinned with it: a change to the search shows here
+    for m, used in ((56, 15_407), (58, 20_097), (60, 27_403)):
+        budget = Budget(100_000)
+        size, witness = min_ordinary_length(m, budget)
+        assert size == witness.length == ORDINARY_MIN_LENGTH[m]
+        assert budget.used == used, m
 
 
 def test_min_ordinary_length_64_within_node_budget():
-    # H(64) takes about 69,000 nodes (atom tables included) because holder
-    # ANDs decide the last two cover levels; recursing to the last level
-    # needs over 1.3 million.  The witness is the unbounded search's.
+    # H(64) takes 68,584 nodes (atom tables included) because holder ANDs
+    # decide the last two cover levels; recursing to the last level needs
+    # over 1.3 million.  The witness is the unbounded search's.
     budget = Budget(140_000)
     size, witness = min_ordinary_length(64, budget)
     assert size == witness.length == 5
+    assert budget.used == 68_584
     assert [list(c.generators) for c in witness.components] == [
         [2, 65], [5, 26, 34, 42], [8, 12, 29, 35, 39], [8, 19, 23, 34, 45, 49],
         [15, 16, 21, 22, 23, 29, 49]]
