@@ -37,7 +37,11 @@ EXIT_INTERNAL = 5
 class CliParseError(NsgError):
     def __init__(self, message, text, pos):
         self.pos = pos
-        super().__init__(f"{message} at position {pos}: {text!r}")
+        super().__init__(message, text, pos)
+
+    def __str__(self):
+        message, text, pos = self.args
+        return f"{message} at position {pos}: {text!r}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,19 +97,11 @@ def _genus_floor(spec: str) -> int:
     return n // 2 + 1 if n else 0  # T:0 and I:0 are rejected
 
 
-def _reserve(nodes: int, budget: Budget):
-    """Tick `nodes`, and so raise BudgetExceeded, when they are more than the
-    budget has left; tick nothing otherwise.  A request calls it with a lower
-    bound on what it will tick before it builds anything of that size."""
-    if nodes > budget.limit - budget.used:
-        budget.tick(nodes)
-
-
 def _parse_metered(spec: str, budget: Budget) -> NumericalSemigroup:
     """Parse a semigroup and tick the budget by its genus, before any caller
     lists or masks its gaps (the genus is O(m) from the Apery vector).  A
     spec whose genus floor is past the budget left stops before it is built."""
-    _reserve(_genus_floor(spec), budget)
+    budget.reserve(_genus_floor(spec))
     s = parse_semigroup(spec)
     budget.tick(s.genus)
     return s
@@ -218,7 +214,7 @@ def _family_minimum(m: int) -> int | None:
 
 def cmd_ordinary(args, budget):
     m = args.m
-    _reserve(m - 1, budget)  # every branch builds H(m) or lists its special gaps
+    budget.reserve(m - 1)  # every branch builds H(m) or lists its special gaps
     if args.min:
         size, witness = ordinary.min_ordinary_length(m, budget)
         return {

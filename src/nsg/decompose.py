@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, filterfalse, islice, repeat
-from operator import and_, or_
+from operator import add, and_, or_, sub
 
 from . import core
 from .classify import is_irreducible, special_gap_mask, special_gaps
@@ -67,6 +67,14 @@ class Budget:
         if self.used > self.limit:
             self.used = self.limit + 1  # where single ticks stop, also for a bulk tick
             raise BudgetExceeded(self.used, self.limit)
+
+    def reserve(self, n: int):
+        """Tick n, and so raise BudgetExceeded, when n is more than the
+        budget has left; tick nothing otherwise.  A request calls it with a
+        lower bound on what it will tick before it builds anything that
+        large."""
+        if n > self.limit - self.used:
+            self.tick(n)
 
 
 def _budget(b) -> Budget:
@@ -489,59 +497,75 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
 def kunz_semigroups(m: int, f_max: int):
     """All semigroups with multiplicity m and Frobenius number at most f_max.
 
-    Coordinates a_i run over {m+i, 2m+i, ...} bounded by f_max + m, with the
-    Apery inequalities checked incrementally as each coordinate is placed.
-    The order depends on (m, f_max) alone, so sweeps can stride it.
+    Coordinates a_i run over {m+i, 2m+i, ...} in ascending order, placed
+    for i = 1, ..., m - 1 in turn.  The Apery inequalities a_i + a_j >=
+    a_{i+j mod m} bound each coordinate by those placed before it:
+    a_i >= a_{i+j-m} - a_j for m - i < j < i, 2 a_i >= a_{2i-m} when
+    2i > m, a_i <= a_j + a_{i-j} for 0 < j < i, and m + i <= a_i <=
+    f_max + m.  So each coordinate walks one residue class over an interval
+    computed once, from an explicit stack of ranges, and `a` grows with
+    the depth: no recursion, and nothing of size m before a semigroup is
+    found (for m > f_max + 1 the range of a_{f_max+1} is empty, so the walk
+    stops there).  The order is lexicographic in (a_1, ..., a_{m-1}), so it
+    depends on (m, f_max) alone and sweeps can stride it.
     """
     if m < 2:
         raise ValueError("multiplicity must be at least 2")
     hi = f_max + m
-    a = [0] * m
-
-    def place(i):
+    a = [0]  # a_0 = 0, then one coordinate per range on the stack
+    stack = [iter(range(m + 1, hi + 1, m))]
+    while stack:
+        v = next(stack[-1], None)
+        del a[len(stack):]
+        if v is None:
+            stack.pop()
+            continue
+        a.append(v)
+        i = len(a)  # the next coordinate
         if i == m:
             yield NumericalSemigroup(m, tuple(a[1:]))
-            return
-        for v in range(m + i, hi + 1, m):
-            a[i] = v
-            ok = True
-            for j in range(1, i + 1):
-                k = (i + j) % m
-                if 1 <= k <= i and a[i] + a[j] < a[k]:
-                    ok = False
-                    break
-            if ok:
-                for j in range(1, i):
-                    l = (i - j) % m
-                    if 1 <= l < i and a[j] + a[l] < a[i]:
-                        ok = False
-                        break
-            if ok:
-                yield from place(i + 1)
-        a[i] = 0
-
-    yield from place(1)
+            continue
+        lo = max(m + i, max(map(sub, a[1:], a[m - i + 1:]), default=0),
+                 (a[2 * i - m] + 1) // 2 if 2 * i > m else 0)
+        up = min(hi, *map(add, a[1:i // 2 + 1], reversed(a)))
+        stack.append(iter(range(lo + (i - lo) % m, up + 1, m)))
 
 
 def _shard(args):
-    """Rows (apery, fn(s, budget)) for stream positions w, w + n, ..., and the nodes used."""
+    """Rows (apery, fn(s, budget)) for stream positions w, w + n, ..., and
+    the nodes used.  Each semigroup taken ticks 1 + g*m // 64 (g its genus)
+    before its row: reaching it costs up to about m*m/2 comparisons, and a
+    row does O(g*m) work (Apery sums, shifts of F-bit masks) before it
+    ticks anything.  A worker ticks only its own semigroups, so the
+    workers' totals add up to the serial count."""
     fn, m, f_max, w, n, limit = args
     b = Budget(limit)
-    return [(s.apery, fn(s, b)) for s in islice(kunz_semigroups(m, f_max), w, None, n)], b.used
+    rows = []
+    for s in islice(kunz_semigroups(m, f_max), w, None, n):
+        b.tick(1 + (s.genus * m >> 6))
+        rows.append((s.apery, fn(s, b)))
+    return rows, b.used
 
 
 def _sweep(fn, m: int, f_max: int, budget, threads: int) -> list[tuple]:
     """Apply fn to every semigroup of multiplicity m with F <= f_max.
 
+    Every such semigroup has genus at least m - 1, and F >= m - 1, so when
+    f_max >= m - 1 >= 1 the weight of one semigroup, 1 + (m - 1)*m // 64, is
+    reserved first: a sweep that cannot pay for one row stops before it
+    walks.  For a larger m the stream is empty and nothing is ticked.
     Worker w of N = min(threads, CPUs) takes positions w, w + N, ... of
     `kunz_semigroups(m, f_max)`, and rows come back in that order; N = 1
     runs in process, with no pool.
     Each worker gets a fresh Budget with the full limit, and the nodes each
     used are then ticked into `budget` in worker order.  So a serial sweep
     stops at the limit and a parallel one after at most N x limit nodes,
-    both with the same error.
+    both with the same error, and a completed sweep uses the same nodes
+    serial or parallel.
     """
     b = _budget(budget)
+    if 2 <= m <= f_max + 1:  # a smaller m is refused by the stream itself
+        b.reserve(1 + ((m - 1) * m >> 6))
     n = max(1, min(threads, os.cpu_count() or 1))
     jobs = [(fn, m, f_max, w, n, b.limit) for w in range(n)]
     if n > 1:

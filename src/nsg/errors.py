@@ -17,8 +17,11 @@ class NotClosed(NsgError):
 
     def __init__(self, witness):
         self.witness = witness
-        super().__init__(f"complement not closed under addition: "
-                         f"{witness[0]} + {witness[1]} = {sum(witness)} is a gap")
+        super().__init__(witness)  # the constructor's arguments, so pickling rebuilds it
+
+    def __str__(self):
+        w = self.witness
+        return f"complement not closed under addition: {w[0]} + {w[1]} = {sum(w)} is a gap"
 
 
 class NotElement(NsgError):
@@ -74,4 +77,7 @@ class BudgetExceeded(NsgError):
     def __init__(self, used, limit):
         self.used = used
         self.limit = limit
-        super().__init__(f"enumeration budget exceeded: {used} > {limit} nodes")
+        super().__init__(used, limit)  # so a sweep worker's error crosses the pool
+
+    def __str__(self):
+        return f"enumeration budget exceeded: {self.used} > {self.limit} nodes"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -475,9 +476,13 @@ def test_family_spec_genus_floor_is_exact(capsys, monkeypatch, spec, genus):
     (("info", "I:0"), "Frobenius number must be positive"),
     (("info", "300000000,300000002"), "gcd of generators is 2"),
     (("info", "0"), "generators must be positive integers"),
+    (("check", "1", "5", "--interval"), "multiplicity must be at least 2"),
+    (("check", "-100000", "5", "--msbound"), "multiplicity must be at least 2"),
+    (("verify", "sweep:1:5"), "multiplicity must be at least 2"),
 ])
 def test_invalid_spec_exits_2_under_any_budget(capsys, argv, message):
-    """An argument the builder rejects has no genus floor to stop it first."""
+    """An argument the builder rejects has no genus floor to stop it first,
+    and a sweep reserves nothing for a multiplicity below 2."""
     code, out, err = run(capsys, "--budget", "0", *argv)
     assert code == EXIT_USAGE and out == "" and message in err
 
@@ -516,17 +521,109 @@ def test_large_genus_lengths_answer_under_the_default_budget(capsys, monkeypatch
 
 def test_sweep_budget_counts_every_shard(capsys):
     """Each shard's nodes are ticked into the one budget: `check 8 22`
-    (59,666 nodes over its shards) exits 4 under 50,000 with the same error
-    serial or parallel, and answers under exactly its own count."""
-    errs = []
+    (61,596 nodes over its shards) exits 4 under 50,000 and 30,000 with the
+    same error serial or parallel, and answers under exactly its own count.
+    Under 30,000 a worker runs out itself, so its error crosses the pool."""
+    for limit in (50_000, 30_000):
+        errs = []
+        for threads in ("1", "2"):
+            code, out, err = run(capsys, "--json", "--budget", str(limit), "--threads", threads,
+                                 "check", "8", "22", "--interval")
+            assert code == EXIT_BUDGET and out == ""
+            errs.append(err)
+        assert errs == [f"error: enumeration budget exceeded: {limit + 1} > {limit} nodes\n"] * 2
     for threads in ("1", "2"):
-        code, out, err = run(capsys, "--json", "--budget", "50000", "--threads", threads,
-                             "check", "8", "22", "--interval")
-        assert code == EXIT_BUDGET and out == ""
-        errs.append(err)
-    assert errs == ["error: enumeration budget exceeded: 50001 > 50000 nodes\n"] * 2
-    code, doc, _ = run_json(capsys, "--budget", "59666", "check", "8", "22", "--interval")
-    assert code == EXIT_OK and doc["stats"]["budget_used"] == 59666
+        code, doc, _ = run_json(capsys, "--budget", "61596", "--threads", threads,
+                                "check", "8", "22", "--interval")
+        assert code == EXIT_OK and doc["stats"]["budget_used"] == 61596
+
+
+@pytest.mark.parametrize("argv, used", [
+    (("check", "6", "18", "--interval"), 4_859),
+    (("check", "7", "22", "--msbound"), 1_638),
+    (("check", "6", "20", "--msbound"), 1_528),
+])
+def test_sweep_budget_pins(capsys, argv, used):
+    """Every swept semigroup ticks 1 + g*m // 64 before its row, serial or
+    parallel."""
+    for threads in ("1", "2"):
+        code, doc, _ = run_json(capsys, "--threads", threads, *argv)
+        assert code == EXIT_OK and doc["stats"]["budget_used"] == used
+
+
+@pytest.mark.parametrize("argv, key, count, used", [
+    # H(2000) and <2000, 2002, ..., 3999, 4001>, neither with 1,999 special gaps
+    (("check", "2000", "2001", "--msbound"), "semigroups_checked", 0, 62_469 + 62_501),
+    (("check", "3000000000", "5", "--interval"), "semigroups", 0, 0),  # F >= m - 1
+])
+def test_large_multiplicity_sweeps_answer(capsys, monkeypatch, argv, key, count, used):
+    """The Kunz walk has no recursion, and allocates nothing of size m before
+    it finds a semigroup."""
+    monkeypatch.delenv("NSG_BUDGET", raising=False)
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    assert doc["result"][key] == count and doc["stats"]["budget_used"] == used
+
+
+def test_sweep_reserves_its_first_semigroup(capsys, monkeypatch):
+    """`check 3000 3100` reserves 1 + 2999*3000 // 64 = 140,579 nodes, the
+    weight of its least semigroup, before it walks: under 100,000 it stops
+    there, and under 200,000 after one row."""
+    monkeypatch.setattr(decompose, "kunz_semigroups", _built)
+    code, out, err = run(capsys, "--budget", "100000", "check", "3000", "3100", "--msbound")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: enumeration budget exceeded: 100001 > 100000 nodes\n"
+    monkeypatch.undo()
+    rows = []
+    row = decompose._msbound_row
+
+    def counted(s, b):
+        rows.append(s.apery)
+        return row(s, b)
+
+    monkeypatch.setattr(decompose, "_msbound_row", counted)
+    code, out, err = run(capsys, "--budget", "200000", "check", "3000", "3100", "--msbound")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: enumeration budget exceeded: 200001 > 200000 nodes\n"
+    assert rows == [tuple(range(3001, 6000))]  # H(3000)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "2", "100000000", "--interval"),  # 5e7 semigroups
+    ("verify", "sweep:1500:1501"),
+])
+def test_large_sweep_stops_at_the_budget(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "--budget", "200000", *argv)
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: enumeration budget exceeded: 200001 > 200000 nodes\n"
+    assert time.perf_counter() - t0 < 30
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_round_trips_through_pickle():
+    """A sweep worker's error reaches the request's process pickled, so every
+    NsgError must rebuild with the same message and attributes."""
+    special = {
+        "NotClosed": (((3, 4),), "complement not closed under addition: 3 + 4 = 7 is a gap"),
+        "BudgetExceeded": ((30001, 30000), "enumeration budget exceeded: 30001 > 30000 nodes"),
+        "CliParseError": (("expected an integer", "H:x", 2),
+                          "expected an integer at position 2: 'H:x'"),
+    }
+    classes = [NsgError, *_subclasses(NsgError)]
+    assert CliParseError in classes and len(classes) > len(special)
+    for cls in classes:
+        args, message = special.get(cls.__name__, (("a message",), "a message"))
+        exc = cls(*args)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc) == message
+        assert vars(back) == vars(exc) and back.args == exc.args
 
 
 @pytest.mark.parametrize("argv", [

@@ -230,6 +230,27 @@ def test_serial_sweep_stops_at_the_budget(monkeypatch):
     assert 0 < len(rows) < 872
 
 
+@pytest.mark.parametrize("check, row, m, f_max", [
+    (check_interval, "_interval_row", 6, 18),
+    (check_interval, "_interval_row", 8, 22),
+    (check_msbound, "_msbound_row", 6, 20),
+    (check_msbound, "_msbound_row", 7, 22),
+])
+def test_sweep_budget_is_a_sum_over_its_semigroups(check, row, m, f_max):
+    """A sweep's nodes are, over its semigroups, the weight 1 + g*m // 64
+    each ticks before its row plus what the row ticks on a fresh Budget."""
+    from nsg import decompose
+
+    expected = 0
+    for s in kunz_semigroups(m, f_max):
+        b = Budget()
+        getattr(decompose, row)(s, b)
+        expected += 1 + (s.genus * m >> 6) + b.used
+    b = Budget()
+    check(m, f_max, b)
+    assert b.used == expected
+
+
 def test_check_msbound_small():
     # (semigroups checked, max #mset), as found when every agreement set was
     # still computed from Apery sets

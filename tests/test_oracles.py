@@ -22,7 +22,7 @@ from nsg import (Budget, NotClosed, NotElement, NotSpecialGap, add_special_gap,
                  PSEUDOSYMMETRIC, REDUCIBLE, SYMMETRIC, VALID_IRREDUNDANT,
                  VALID_REDUNDANT)
 from nsg import decompose
-from nsg.core import _bits, _closure_witness, _from_gap_mask, _mask_of
+from nsg.core import NumericalSemigroup, _bits, _closure_witness, _from_gap_mask, _mask_of
 from nsg.decompose import (_atom_masks, _cover_criteria,
                            _irreducible_gapmasks_with_frobenius, oversemigroups)
 from nsg.ordinary import H, I_irr, T_irr
@@ -350,6 +350,40 @@ def ref_spectrum_witnesses(s):
     rec(0, [], [], 0)
     return {k: [min(by_miss[sets[j]], key=lambda t: t.sort_key()).generators for j in found[k]]
             for k in sorted(found)}
+
+
+def ref_kunz_semigroups(m, f_max):
+    """The Kunz-coordinate enumeration as one recursive call per coordinate,
+    each candidate a_i tried against every Apery inequality with the
+    coordinates placed before it."""
+    if m < 2:
+        raise ValueError("multiplicity must be at least 2")
+    hi = f_max + m
+    a = [0] * m
+
+    def place(i):
+        if i == m:
+            yield NumericalSemigroup(m, tuple(a[1:]))
+            return
+        for v in range(m + i, hi + 1, m):
+            a[i] = v
+            ok = True
+            for j in range(1, i + 1):
+                k = (i + j) % m
+                if 1 <= k <= i and a[i] + a[j] < a[k]:
+                    ok = False
+                    break
+            if ok:
+                for j in range(1, i):
+                    l = (i - j) % m
+                    if 1 <= l < i and a[j] + a[l] < a[i]:
+                        ok = False
+                        break
+            if ok:
+                yield from place(i + 1)
+        a[i] = 0
+
+    yield from place(1)
 
 
 def ref_I_irr_gaps(f):
@@ -688,6 +722,26 @@ def test_spectrum_witnesses_vs_unpruned_search():
         spec = length_spectrum(s, Budget(50_000_000))
         got = {k: [c.generators for c in d.components] for k, d in spec.witnesses.items()}
         assert got == ref_spectrum_witnesses(s), s
+
+
+def test_kunz_interval_walk_vs_recursive_enumerator():
+    """The same semigroups in the same order, so strided sweeps are unchanged."""
+    for m in range(2, 11):
+        for f_max in range(31):
+            assert list(kunz_semigroups(m, f_max)) == list(ref_kunz_semigroups(m, f_max)), \
+                (m, f_max)
+
+
+def test_kunz_semigroups_vs_genus_tree():
+    """Every semigroup with F <= 14 has genus <= 14, so the genus tree holds
+    all of them."""
+    by_m = {}
+    for t in semigroups_up_to_genus(14):
+        by_m.setdefault(t.m, []).append(t)
+    for m in range(2, 9):
+        for f_max in range(15):
+            want = {t for t in by_m[m] if t.frobenius <= f_max}
+            assert set(kunz_semigroups(m, f_max)) == want, (m, f_max)
 
 
 def test_I_irr_closed_form_vs_element_sets():
