@@ -504,13 +504,15 @@ def kunz_semigroups(m: int, f_max: int):
     2i > m, a_i <= a_j + a_{i-j} for 0 < j < i, and m + i <= a_i <=
     f_max + m.  So each coordinate walks one residue class over an interval
     computed once, from an explicit stack of ranges, and `a` grows with
-    the depth: no recursion, and nothing of size m before a semigroup is
-    found (for m > f_max + 1 the range of a_{f_max+1} is empty, so the walk
-    stops there).  The order is lexicographic in (a_1, ..., a_{m-1}), so it
-    depends on (m, f_max) alone and sweeps can stride it.
+    the depth: no recursion.  F >= m - 1, so for m > f_max + 1 the stream
+    is empty and nothing is walked.  The order is lexicographic in
+    (a_1, ..., a_{m-1}), so it depends on (m, f_max) alone and sweeps can
+    stride it.
     """
     if m < 2:
         raise ValueError("multiplicity must be at least 2")
+    if m > f_max + 1:
+        return
     hi = f_max + m
     a = [0]  # a_0 = 0, then one coordinate per range on the stack
     stack = [iter(range(m + 1, hi + 1, m))]

@@ -522,8 +522,10 @@ def test_large_genus_lengths_answer_under_the_default_budget(capsys, monkeypatch
 def test_sweep_budget_counts_every_shard(capsys):
     """Each shard's nodes are ticked into the one budget: `check 8 22`
     (61,596 nodes over its shards) exits 4 under 50,000 and 30,000 with the
-    same error serial or parallel, and answers under exactly its own count.
-    Under 30,000 a worker runs out itself, so its error crosses the pool."""
+    same error serial or parallel.  Under 30,000 a worker runs out itself,
+    so its error crosses the pool.  Every swept semigroup ticks
+    1 + g*m // 64 before its row, and each sweep answers under exactly its
+    own count, serial or parallel."""
     for limit in (50_000, 30_000):
         errs = []
         for threads in ("1", "2"):
@@ -532,33 +534,24 @@ def test_sweep_budget_counts_every_shard(capsys):
             assert code == EXIT_BUDGET and out == ""
             errs.append(err)
         assert errs == [f"error: enumeration budget exceeded: {limit + 1} > {limit} nodes\n"] * 2
-    for threads in ("1", "2"):
-        code, doc, _ = run_json(capsys, "--budget", "61596", "--threads", threads,
-                                "check", "8", "22", "--interval")
-        assert code == EXIT_OK and doc["stats"]["budget_used"] == 61596
-
-
-@pytest.mark.parametrize("argv, used", [
-    (("check", "6", "18", "--interval"), 4_859),
-    (("check", "7", "22", "--msbound"), 1_638),
-    (("check", "6", "20", "--msbound"), 1_528),
-])
-def test_sweep_budget_pins(capsys, argv, used):
-    """Every swept semigroup ticks 1 + g*m // 64 before its row, serial or
-    parallel."""
-    for threads in ("1", "2"):
-        code, doc, _ = run_json(capsys, "--threads", threads, *argv)
-        assert code == EXIT_OK and doc["stats"]["budget_used"] == used
+    for argv, used in [(("check", "8", "22", "--interval"), 61_596),
+                       (("check", "6", "18", "--interval"), 4_859),
+                       (("check", "7", "22", "--msbound"), 1_638),
+                       (("check", "6", "20", "--msbound"), 1_528)]:
+        for threads in ("1", "2"):
+            code, doc, _ = run_json(capsys, "--budget", str(used), "--threads", threads, *argv)
+            assert code == EXIT_OK and doc["stats"]["budget_used"] == used
 
 
 @pytest.mark.parametrize("argv, key, count, used", [
     # H(2000) and <2000, 2002, ..., 3999, 4001>, neither with 1,999 special gaps
     (("check", "2000", "2001", "--msbound"), "semigroups_checked", 0, 62_469 + 62_501),
-    (("check", "3000000000", "5", "--interval"), "semigroups", 0, 0),  # F >= m - 1
+    # F >= m - 1, so neither stream walks anything
+    (("check", "3000000000", "5", "--interval"), "semigroups", 0, 0),
+    (("check", "100000", "99998", "--interval"), "semigroups", 0, 0),
 ])
 def test_large_multiplicity_sweeps_answer(capsys, monkeypatch, argv, key, count, used):
-    """The Kunz walk has no recursion, and allocates nothing of size m before
-    it finds a semigroup."""
+    """The Kunz walk has no recursion, and walks nothing when m > f_max + 1."""
     monkeypatch.delenv("NSG_BUDGET", raising=False)
     code, doc, _ = run_json(capsys, *argv)
     assert code == EXIT_OK
@@ -593,11 +586,9 @@ def test_sweep_reserves_its_first_semigroup(capsys, monkeypatch):
     ("verify", "sweep:1500:1501"),
 ])
 def test_large_sweep_stops_at_the_budget(capsys, argv):
-    t0 = time.perf_counter()
     code, out, err = run(capsys, "--budget", "200000", *argv)
     assert code == EXIT_BUDGET and out == ""
     assert err == "error: enumeration budget exceeded: 200001 > 200000 nodes\n"
-    assert time.perf_counter() - t0 < 30
 
 
 def _subclasses(cls):
