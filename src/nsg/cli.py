@@ -21,7 +21,7 @@ import time
 from . import core, ordinary, reference_data
 from .classify import classify, pseudo_frobenius, special_gaps
 from .core import NumericalSemigroup
-from .decompose import (DEFAULT_BUDGET, VALID_IRREDUNDANT, Budget, check_interval,
+from .decompose import (DEFAULT_BUDGET, VALID_IRREDUNDANT, Budget, _budget, check_interval,
                         check_msbound, is_decomposition, length_spectrum)
 from .errors import BudgetExceeded, InternalAssertion, NsgError, SearchFailed
 
@@ -53,57 +53,46 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _parse_int_list(text: str, offset: int = 0) -> list[int]:
+def _parse_int_list(spec: str, start: int = 0) -> list[int]:
+    """The comma-separated integers of spec[start:]; an error quotes the
+    whole spec at the position of the bad part."""
     out = []
-    pos = 0
-    for part in text.split(","):
+    pos = start
+    for part in spec[start:].split(","):
         stripped = part.strip()
         if not stripped.isdecimal():
-            raise CliParseError("expected a positive integer", text, offset + pos)
+            raise CliParseError("expected a positive integer", spec, pos)
         out.append(int(stripped))
         pos += len(part) + 1
     return out
 
 
-def parse_semigroup(spec: str) -> NumericalSemigroup:
-    """Grammar: "5,6,7" (generators), "gaps:1,2,4", "H:28", "T:20", "I:20"."""
-    for prefix, build in (("gaps:", None), ("H:", ordinary.H),
-                          ("T:", ordinary.T_irr), ("I:", ordinary.I_irr)):
-        if spec.startswith(prefix):
-            body = spec[len(prefix):]
-            if prefix == "gaps:":
-                return core.from_gaps(_parse_int_list(body, len(prefix)))
-            if not body.isdecimal():
-                raise CliParseError("expected an integer", spec, len(prefix))
-            return build(int(body))
-    return core.from_generators(_parse_int_list(spec))
+def parse_semigroup(spec: str, budget=None) -> NumericalSemigroup:
+    """Grammar: "5,6,7" (generators), "gaps:1,2,4", "H:28", "T:20", "I:20".
 
-
-def _genus_floor(spec: str) -> int:
-    """A lower bound on the genus of the semigroup `spec` names, read before
-    it is built: m - 1 for H:m, exactly floor(f/2) + 1 for T:f and I:f, and
-    the multiplicity less one for a generator list, which is first checked
-    as `from_generators` checks it, so a bad list raises what
-    `parse_semigroup` would.  0 for a gaps: list, which the spec spells
-    out, and for an H, T or I argument that `parse_semigroup` rejects."""
+    The budget (a fresh default one for None) is metered around the build:
+    a lower bound on the genus, computed from the parsed integers, is
+    reserved before anything is built, and the genus is ticked after, before
+    any caller lists or masks the gaps.  The bound is m - 1 for H:m and for
+    a generator list, once it is checked as `from_generators` checks it;
+    exactly f//2 + 1 for T:f and I:f; and 0 for a gaps: list, which the spec
+    spells out, and for T:0 and I:0, which the builders reject."""
+    b = _budget(budget)
+    families = {"H": ordinary.H, "T": ordinary.T_irr, "I": ordinary.I_irr}
     kind, colon, body = spec.partition(":")
-    if not colon:
-        return core._generator_list(_parse_int_list(spec))[0] - 1
-    if kind not in ("H", "T", "I") or not body.isdecimal():
-        return 0
-    n = int(body)
-    if kind == "H":
-        return n - 1
-    return n // 2 + 1 if n else 0  # T:0 and I:0 are rejected
-
-
-def _parse_metered(spec: str, budget: Budget) -> NumericalSemigroup:
-    """Parse a semigroup and tick the budget by its genus, before any caller
-    lists or masks its gaps (the genus is O(m) from the Apery vector).  A
-    spec whose genus floor is past the budget left stops before it is built."""
-    budget.reserve(_genus_floor(spec))
-    s = parse_semigroup(spec)
-    budget.tick(s.genus)
+    if colon and kind == "gaps":
+        s = core.from_gaps(_parse_int_list(spec, len("gaps:")))
+    elif colon and kind in families:
+        if not body.isdecimal():
+            raise CliParseError("expected an integer", spec, len(kind) + 1)
+        n = int(body)
+        b.reserve(n - 1 if kind == "H" else (n // 2 + 1 if n else 0))
+        s = families[kind](n)
+    else:
+        gens = core._generator_list(_parse_int_list(spec))
+        b.reserve(gens[0] - 1)
+        s = core.from_generators(gens)
+    b.tick(s.genus)
     return s
 
 
@@ -166,7 +155,7 @@ def _print_plain(result, indent=""):
 
 
 def cmd_info(args, budget):
-    s = _parse_metered(args.spec, budget)
+    s = parse_semigroup(args.spec, budget)
     rep = classify(s)
     result = semigroup_json(s)
     if s.m > 1:
@@ -178,13 +167,13 @@ def cmd_info(args, budget):
 
 
 def cmd_lengths(args, budget):
-    s = _parse_metered(args.spec, budget)
+    s = parse_semigroup(args.spec, budget)
     spec = length_spectrum(s, budget)
     return spectrum_json(spec), EXIT_OK
 
 
 def cmd_decompose(args, budget):
-    s = _parse_metered(args.spec, budget)
+    s = parse_semigroup(args.spec, budget)
     spec = length_spectrum(s, budget)
     result = {"lengths": list(spec.lengths), "decompositions": []}
     for k in spec.lengths:
@@ -198,7 +187,7 @@ def cmd_decompose(args, budget):
 
 def _family(m: int, ells, budget: Budget) -> list[ordinary.DFamily]:
     """The members D(m, ell), each built after ticking m - 1, the genus of
-    H(m) as `_parse_metered` counts it."""
+    H(m) as `parse_semigroup` counts it."""
     fams = []
     for ell in ells:
         budget.tick(m - 1)

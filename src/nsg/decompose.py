@@ -40,7 +40,6 @@ so runaway searches fail loudly and reproducibly.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
@@ -267,8 +266,7 @@ def _atom_masks(s: NumericalSemigroup, sg_mask: int, b: Budget) -> list[int]:
     gaps = s.gap_mask
     outside = ~gaps
     out = []
-    least = (sg_mask & -sg_mask).bit_length() - 1
-    for f in s.gaps[bisect_left(s.gaps, least):]:
+    for f in _bits(gaps & -(sg_mask & -sg_mask)):
         for gm in _irreducible_gapmasks_with_frobenius(f, gaps, b):
             if gm & outside:
                 raise InternalAssertion(
@@ -557,8 +555,8 @@ def _sweep(fn, m: int, f_max: int, budget, threads: int) -> list[tuple]:
     reserved first: a sweep that cannot pay for one row stops before it
     walks.  For a larger m the stream is empty and nothing is ticked.
     Worker w of N = min(threads, CPUs) takes positions w, w + N, ... of
-    `kunz_semigroups(m, f_max)`, and rows come back in that order; N = 1
-    runs in process, with no pool.
+    `kunz_semigroups(m, f_max)`, and the rows come back worker by worker
+    (callers sort what they report); N = 1 runs in process, with no pool.
     Each worker gets a fresh Budget with the full limit, and the nodes each
     used are then ticked into `budget` in worker order.  So a serial sweep
     stops at the limit and a parallel one after at most N x limit nodes,
@@ -576,9 +574,9 @@ def _sweep(fn, m: int, f_max: int, budget, threads: int) -> list[tuple]:
             results = list(ex.map(_shard, jobs))
     else:
         results = [_shard(j) for j in jobs]
-    rows = [None] * sum(len(shard_rows) for shard_rows, _ in results)
-    for w, (shard_rows, used) in enumerate(results):
-        rows[w::n] = shard_rows
+    rows = []
+    for shard_rows, used in results:
+        rows += shard_rows
         b.tick(used)
     return rows
 

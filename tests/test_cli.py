@@ -1,5 +1,7 @@
 """Command-line interface: grammar, exit codes, JSON shape, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import pickle
@@ -8,15 +10,15 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsg import (cli, core, decompose, from_generators, is_decomposition, length_spectrum,
                  ordinary)
-from nsg.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
+from nsg.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE,
                      CliParseError, parse_semigroup)
 from nsg.core import VALUE_CAP, NumericalSemigroup
-from nsg.errors import InternalAssertion, NsgError, SearchFailed
+from nsg.errors import BudgetExceeded, InternalAssertion, NsgError, SearchFailed
 
 
 def run(capsys, *argv):
@@ -56,6 +58,10 @@ def test_parse_errors_report_position():
     with pytest.raises(CliParseError) as ei:
         parse_semigroup("gaps:1,,4")
     assert ei.value.pos == 7
+    # the message quotes the whole spec that the position counts in
+    with pytest.raises(CliParseError) as ei:
+        parse_semigroup("gaps:1,x")
+    assert str(ei.value) == "expected a positive integer at position 7: 'gaps:1,x'"
     with pytest.raises(CliParseError):
         parse_semigroup("H:abc")
     # a digit that int() rejects is a parse error too, not int()'s message
@@ -96,14 +102,73 @@ _specs = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_specs)
 def test_parse_semigroup_fuzz(spec):
-    """Every spec yields a semigroup or a usage error (exit 2), never
-    MemoryError or another exception.  Library level only: `info` prints
-    every gap, so a large F means unbounded output there."""
+    """Every spec yields a semigroup, a usage error (exit 2) or, past the
+    default budget, BudgetExceeded; never MemoryError or another exception.
+    Library level only: `info` prints every gap, so a large F means
+    unbounded output there."""
     try:
         s = parse_semigroup(spec)
     except (NsgError, ValueError):
         return
     assert isinstance(s, NumericalSemigroup)
+
+
+def test_parse_semigroup_meters_its_budget():
+    """The genus is ticked into the budget given, or into a fresh default
+    one, so a budget-less parse of a genus past 5,000,000 raises."""
+    b = decompose.Budget()
+    assert parse_semigroup("5,6,7", b).genus == b.used == 6
+    assert parse_semigroup("2,10000001").genus == 5_000_000
+    with pytest.raises(BudgetExceeded, match="5000001 > 5000000"):
+        parse_semigroup("2,10000003")
+
+
+# Whole commands, as `main` sees them: numbers of either sign up to 1e10,
+# family bodies up to 1e9, and selectors that are junk or malformed.
+_nums = st.one_of(st.integers(min_value=-3, max_value=40),
+                  st.integers(min_value=-10**10, max_value=10**10)).map(str)
+_spec_commands = st.tuples(
+    st.sampled_from(["info", "lengths", "decompose"]),
+    st.one_of(_specs, st.builds(lambda p, n: f"{p}{n}", st.sampled_from(["H:", "T:", "I:"]),
+                                st.integers(min_value=0, max_value=10**9))))
+_ordinary_commands = st.builds(
+    lambda m, opt: ("ordinary", m, *opt), _nums,
+    st.one_of(st.just(()), st.just(("--min",)), st.just(("--all",)),
+              _nums.map(lambda n: ("--ell", n))))
+_check_commands = st.builds(lambda m, f, mode: ("check", m, f, mode), _nums, _nums,
+                            st.sampled_from(["--interval", "--msbound"]))
+# argparse reads a leading "-" as an option ("-h" prints its help)
+_junk_selectors = st.text(max_size=12).filter(lambda sel: not sel.startswith("-"))
+_verify_commands = st.one_of(
+    st.just("all"),
+    st.builds(lambda a, b: f"theorem-4.3:{a}..{b}", _nums, _nums),
+    st.builds(lambda a, b: f"sweep:{a}:{b}", _nums, _nums),
+    _junk_selectors,
+).map(lambda sel: ("verify", sel))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_spec_commands, _ordinary_commands, _check_commands, _verify_commands),
+       st.sampled_from(["1", "2"]))
+@example(("check", "2000", "2001", "--msbound"), "1")
+@example(("check", "3000000000", "5", "--interval"), "1")
+@example(("check", "100000", "99998", "--interval"), "1")
+def test_whole_command_fuzz(argv, threads):
+    """Every command ends in an answer (0, or 3 for a mismatch), a usage
+    error (2) or the budget (4): never an uncaught exception or a theory
+    failure.  The examples once raised RecursionError or MemoryError.
+    Derandomized, so every run draws the same examples: inside the budget
+    a random draw can reach requests whose Apery-sum pass is unmetered and
+    runs for minutes (`ordinary 4000 --ell 200`: 27 s)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--json", "--budget", "20000", "--threads", threads, *argv])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_MISMATCH, EXIT_BUDGET), (argv, err)
+    if code in (EXIT_OK, EXIT_MISMATCH):
+        assert isinstance(json.loads(out), dict) and out.count("\n") == 1
+    else:
+        assert out == "" and err.startswith("error: ")
 
 
 # ----- commands and exit codes ----------------------------------------------

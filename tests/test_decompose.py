@@ -199,7 +199,7 @@ def test_sweep_workers_capped_by_threads_and_cpus(fake_pool):
 def test_strided_sweep_matches_serial(fake_pool, monkeypatch, cpus):
     """Worker w of N takes every N-th semigroup from the w-th on; the 275
     semigroups of (6, 20) give slices of unequal length for N = 3 and 4, and
-    the rows still merge back in serial order, with the same nodes."""
+    the reports still equal the serial ones, with the same nodes."""
     import os
 
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
