@@ -185,16 +185,6 @@ def cmd_decompose(args, budget):
     return result, EXIT_OK
 
 
-def _family(m: int, ells, budget: Budget) -> list[ordinary.DFamily]:
-    """The members D(m, ell), each built after ticking m - 1, the genus of
-    H(m) as `parse_semigroup` counts it."""
-    fams = []
-    for ell in ells:
-        budget.tick(m - 1)
-        fams.append(ordinary.D(m, ell))
-    return fams
-
-
 def _family_minimum(m: int) -> int | None:
     """n_min(m); None below multiplicity 4, where the family is not defined
     (H(2) and H(3) are irreducible)."""
@@ -213,8 +203,8 @@ def cmd_ordinary(args, budget):
             "witness": [list(c.generators) for c in witness.components],
         }, EXIT_OK
     if args.all:
-        fams = _family(m, range(m // 2 + 1), budget)
-        lengths = ordinary.d_family_lengths(m)
+        fams = [ordinary.D(m, ell, budget) for ell in range(m // 2 + 1)]
+        lengths = ordinary._interval_lengths(m, (f.length for f in fams))
         return {
             "m": m,
             "lengths": list(lengths),
@@ -222,7 +212,7 @@ def cmd_ordinary(args, budget):
                         "components": [f"{t}:{v}" for t, v in f.tags]} for f in fams],
         }, EXIT_OK
     if args.ell is not None:
-        fam = _family(m, [args.ell], budget)[0]
+        fam = ordinary.D(m, args.ell, budget)
         return {
             "m": m,
             "ell": fam.ell,
@@ -286,7 +276,8 @@ def _verify_h28_lines(budget, failures, lines):
                       "verdict": check.verdict, "ok": ok})
         if not ok:
             failures.append(f"{comps_spec}: {check.verdict}")
-    for ell, fam in enumerate(_family(28, range(4), budget)):
+    for ell in range(4):
+        fam = ordinary.D(28, ell, budget)
         ok = frozenset(fam.components) == displayed[ell]
         lines.append({"family_ell": ell, "matches_displayed_line": ell + 1, "ok": ok})
         if not ok:
@@ -331,8 +322,7 @@ def cmd_verify(args, budget):
         if lo > hi:
             raise CliParseError("expected <lo> <= <hi>", sel, len("theorem-4.3:"))
         for m in range(lo, hi + 1):
-            _family(m, range(m // 2 + 1), budget)
-            got = ordinary.d_family_lengths(m)  # raises on any failure
+            got = ordinary.d_family_lengths(m, budget)  # raises on any failure
             lines.append({"m": m, "lengths": f"{got[0]}..{got[-1]}", "ok": True})
     elif sel.startswith("sweep:"):
         parts = sel.split(":")

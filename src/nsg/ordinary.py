@@ -123,14 +123,21 @@ class DFamily:
 
 def special_gaps_of_ordinary(m: int) -> list[int]:
     """SG(H_m) = integers in [m/2, m-1], descending."""
+    if m < 2:
+        raise OutOfRange("ordinary semigroups start at multiplicity 2")
     return list(range(m - 1, (m + 1) // 2 - 1, -1))
 
 
-@lru_cache(maxsize=None)
-def D(m: int, ell: int) -> DFamily:
+def D(m: int, ell: int, budget=None) -> DFamily:
     """The ell-th decomposition of H(m): tail components for the ell largest
     special gaps, pruned components (one per remaining 2-adic valuation
-    class) for the rest.  Verified irredundant on construction."""
+    class) for the rest.
+
+    Each call ticks m - 1, the genus of H(m), on the budget (a fresh default
+    one for None) before it builds, then builds the member and verifies it
+    irredundant.  Nothing is cached: a member lives as long as its caller
+    keeps it."""
+    _budget(budget).tick(m - 1)
     if m < 4:
         raise OutOfRange("family defined for multiplicity >= 4")
     if not 0 <= ell <= m // 2:  # H(m) has m // 2 special gaps
@@ -154,10 +161,18 @@ def D(m: int, ell: int) -> DFamily:
     return fam
 
 
-def d_family_lengths(m: int) -> tuple[int, ...]:
+def d_family_lengths(m: int, budget=None) -> tuple[int, ...]:
     """Sorted set of lengths over the whole family; always the full integer
-    interval from n_min(m) to floor(m/2)."""
-    lengths = sorted({D(m, ell).length for ell in range(m // 2 + 1)})
+    interval from n_min(m) to floor(m/2).  Every member is built and verified
+    by `D` on the one budget (a fresh default one for None) and dropped once
+    its length is read."""
+    b = _budget(budget)
+    return _interval_lengths(m, [D(m, ell, b).length for ell in range(m // 2 + 1)])
+
+
+def _interval_lengths(m: int, lengths) -> tuple[int, ...]:
+    """The distinct family lengths, sorted, checked to be [n_min(m), m // 2]."""
+    lengths = sorted(set(lengths))
     expected = list(range(n_min(m), m // 2 + 1))
     if lengths != expected:
         raise InternalAssertion(f"family lengths {lengths} != interval {expected} at m={m}")

@@ -1,6 +1,7 @@
 """Command-line interface: grammar, exit codes, JSON shape, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -477,6 +478,32 @@ def test_family_members_tick_the_genus_of_H(capsys, argv, used):
     assert code == EXIT_OK and doc["stats"]["budget_used"] == used
 
 
+def test_family_members_are_verified_once(capsys, monkeypatch):
+    """The theorem-4.3 sweep builds and verifies each D(m, ell) once: its
+    lengths are read off the members it built, not off a second pass."""
+    verified = []
+
+    def counting(target, components):
+        verified.append(target.m)
+        return is_decomposition(target, components)
+
+    monkeypatch.setattr(ordinary, "is_decomposition", counting)
+    code, _, _ = run_json(capsys, "verify", "theorem-4.3:4..12")
+    assert code == EXIT_OK
+    assert len(verified) == sum(m // 2 + 1 for m in range(4, 13))
+    assert all(verified.count(m) == m // 2 + 1 for m in range(4, 13))
+
+
+def test_family_members_do_not_outlive_the_command(capsys):
+    """Nothing keeps a member once the command that built it returns, so a
+    family sweep's memory does not grow with the members it has verified."""
+    for argv in (("verify", "theorem-4.3:4..40"), ("ordinary", "28", "--all")):
+        code, _, _ = run_json(capsys, *argv)
+        assert code == EXIT_OK
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, ordinary.DFamily)]
+
+
 @pytest.mark.parametrize("argv", [
     ("ordinary", "20000", "--ell", "0"),
     ("ordinary", "1200", "--all"),
@@ -544,10 +571,14 @@ def test_family_spec_genus_floor_is_exact(capsys, monkeypatch, spec, genus):
     (("check", "1", "5", "--interval"), "multiplicity must be at least 2"),
     (("check", "-100000", "5", "--msbound"), "multiplicity must be at least 2"),
     (("verify", "sweep:1:5"), "multiplicity must be at least 2"),
+    (("ordinary", "-5"), "ordinary semigroups start at multiplicity 2"),
+    (("ordinary", "0"), "ordinary semigroups start at multiplicity 2"),
+    (("ordinary", "1"), "ordinary semigroups start at multiplicity 2"),
 ])
 def test_invalid_spec_exits_2_under_any_budget(capsys, argv, message):
     """An argument the builder rejects has no genus floor to stop it first,
-    and a sweep reserves nothing for a multiplicity below 2."""
+    and a sweep reserves nothing for a multiplicity below 2, nor does the
+    `ordinary` summary, which names no semigroup there."""
     code, out, err = run(capsys, "--budget", "0", *argv)
     assert code == EXIT_USAGE and out == "" and message in err
 
