@@ -11,7 +11,7 @@ set cover over all irreducible oversemigroups finds it.
 Run:  python3 demos/ordinary_family.py
 """
 
-from nsg import D, H, I_irr, T_irr, d_family_lengths, min_ordinary_length, n_min
+from nsg import D, H, I_irr, T_irr, min_ordinary_length, n_min
 
 M = 28
 
@@ -30,7 +30,11 @@ def main():
         seen.add(fam.length)
         print(f"  D_{ell:<2}  length {fam.length:2}:  {tags}{marker}")
     print()
-    print(f"family lengths: {d_family_lengths(M)}")
+    # the lengths of the members printed above: the interval n_min(M)..M // 2
+    lengths = tuple(sorted(seen))
+    if lengths != tuple(range(n_min(M), M // 2 + 1)):
+        raise SystemExit(f"family lengths {lengths} are not [n_min({M}), {M // 2}]")
+    print(f"family lengths: {lengths}")
     print(f"closed form for the bottom: n_min({M}) = {n_min(M)}")
     print()
 

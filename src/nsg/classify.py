@@ -4,8 +4,13 @@ Irreducibility is decided twice on every call: once from the genus/Frobenius
 count and once from the divisibility order on the Apery set.  The two
 criteria are provably equivalent, so a disagreement means the representation
 is corrupted; we treat it as an internal bug rather than a soft failure.
-Special gaps are decided twice too: as pseudo-Frobenius numbers x with 2x in
-S, and by closure of S u {x} on the m - 1 candidates x = a_i - m.
+Special gaps are decided twice too, by one kernel on masks,
+`special_gap_mask`: as pseudo-Frobenius numbers x with 2x in S, and by
+closure of S u {x}, both built as bitmasks in one pass over the m - 1
+candidates x = a_i - m and compared as ints.  `special_gaps` is its
+frozenset view.  S is irreducible exactly when SG(S) = {F(S)}, so a search
+reads irreducibility off that mask; `classify` is the cross-check, and it
+raises when a reducible S has fewer than two special gaps.
 """
 
 from __future__ import annotations
@@ -47,34 +52,40 @@ def pseudo_frobenius(s: NumericalSemigroup) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def special_gaps(s: NumericalSemigroup) -> frozenset[int]:
-    """Gaps x whose adjunction S u {x} is again additively closed.
+def special_gap_mask(s: NumericalSemigroup) -> int:
+    """The special gaps of s as a bitmask (bit x set iff x is one): the gaps
+    x whose adjunction S u {x} is again additively closed.
 
     Equivalently the pseudo-Frobenius numbers x with 2x in S.  Both criteria
-    are computed and compared on every call.  S u {x} needs x + m, so the
-    closure test runs only on the m - 1 candidates x = a_i - m.
+    are built as masks in one pass over the m - 1 candidates x = a_i - m
+    (S u {x} needs x + m) and compared on every call.  a_i - m is
+    pseudo-Frobenius iff i is in no Apery sum, read off
+    `NumericalSemigroup._apery_sums` rather than through the cached
+    `pseudo_frobenius`, so the kernel puts nothing in that cache.
     """
     if s.m == 1:
         raise FullSemigroup("the full semigroup has no special gaps")
-    by_pf = frozenset(x for x in pseudo_frobenius(s) if s.contains(2 * x))
+    _, used = s._apery_sums
     gm, full = s.gap_mask, (1 << (s.frobenius + 1)) - 1
-    by_closure = set()
-    for x in (a - s.m for a in s.apery):  # the gaps x with x + m in S
+    by_pf = by_closure = 0
+    for i, a in enumerate(s.apery, start=1):
+        x = a - s.m  # a gap with x + m in S
+        if not used >> i & 1 and s.contains(2 * x):
+            by_pf |= 1 << x
         rest = gm & ~(1 << x)  # gaps of S u {x}
         # S is closed, so only sums involving x can land on a gap: one shift
         if not ((~rest & full) << x) & rest:
-            by_closure.add(x)
+            by_closure |= 1 << x
     if by_pf != by_closure:
-        raise InternalAssertion(
-            f"special-gap criteria disagree on {s}: {sorted(by_pf)} vs {sorted(by_closure)}")
+        raise InternalAssertion(f"special-gap criteria disagree on {s}: "
+                                f"{list(core._bits(by_pf))} vs {list(core._bits(by_closure))}")
     return by_pf
 
 
 @lru_cache(maxsize=None)
-def special_gap_mask(s: NumericalSemigroup) -> int:
-    """The special gaps of s as a bitmask (bit x set iff x is one), built
-    once per semigroup."""
-    return core._mask_of(special_gaps(s))
+def special_gaps(s: NumericalSemigroup) -> frozenset[int]:
+    """The special gaps of s: the `frozenset` view of `special_gap_mask`."""
+    return frozenset(core._bits(special_gap_mask(s)))
 
 
 def add_special_gap(s: NumericalSemigroup, x: int) -> NumericalSemigroup:

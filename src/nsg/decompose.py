@@ -415,12 +415,19 @@ def length_spectrum(s: NumericalSemigroup, budget=None) -> LengthSpectrum:
     k + 1 .. k + min(u, r); when all of them have witnesses (one AND with
     `have`, the bitmask of lengths found) it is cut, which leaves the
     witnesses unchanged.
+
+    SG(S) is read from `special_gap_mask` alone.  S is irreducible exactly
+    when SG(S) = {F(S)}, so a mask with one bit (or the full semigroup) is
+    the length-1 exit, with S as its own witness.  That witness is the one
+    `is_decomposition` never re-verifies, so `is_irreducible` confirms the
+    exit and a disagreement raises InternalAssertion.
     """
     b = _budget(budget)
-    if s.m == 1 or is_irreducible(s):
+    full = 0 if s.m == 1 else special_gap_mask(s)
+    if full.bit_count() < 2:  # the full semigroup, or SG(S) = {F(S)}
+        if not is_irreducible(s):
+            raise InternalAssertion(f"{s} has one special gap but is reducible")
         return LengthSpectrum((1,), {1: Decomposition((s,))})
-
-    full = special_gap_mask(s)
 
     # atoms grouped by miss set, kept as the special-gap part of the gap mask
     by_miss: dict[int, list[int]] = {}

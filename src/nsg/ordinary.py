@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import repeat
 
 from . import core
-from .classify import PSEUDOSYMMETRIC, SYMMETRIC, classify
+from .classify import PSEUDOSYMMETRIC, SYMMETRIC, classify, special_gap_mask
 from .core import NumericalSemigroup
 from .decompose import (VALID_IRREDUNDANT, Decomposition, _atom_masks, _budget,
                         is_decomposition, minimum_cover)
@@ -122,7 +122,8 @@ class DFamily:
 
 
 def special_gaps_of_ordinary(m: int) -> list[int]:
-    """SG(H_m) = integers in [m/2, m-1], descending."""
+    """SG(H_m) = integers in [m/2, m-1], descending: the closed form, for
+    summaries that never build H(m)."""
     if m < 2:
         raise OutOfRange("ordinary semigroups start at multiplicity 2")
     return list(range(m - 1, (m + 1) // 2 - 1, -1))
@@ -191,7 +192,7 @@ def min_ordinary_length(m: int, budget=None) -> tuple[int, Decomposition]:
     """
     b = _budget(budget)
     hm = H(m)
-    sg_mask = core._mask_of(special_gaps_of_ordinary(m))
+    sg_mask = special_gap_mask(hm)
     atoms = _atom_masks(hm, sg_mask, b)
     size, idxs = minimum_cover(sg_mask, atoms, b)
     comps = tuple(sorted((core._from_gap_mask(atoms[i]) for i in idxs),

@@ -296,6 +296,16 @@ def test_cover_criteria_disagreement_raises_and_exits_5(capsys, monkeypatch, wro
     assert code == EXIT_INTERNAL and out == "" and "cover criteria disagree" in err
 
 
+def test_one_special_gap_on_a_reducible_semigroup_raises_and_exits_5(capsys, monkeypatch):
+    """`length_spectrum`'s length-1 exit, SG(S) = {F(S)}, is confirmed by
+    `is_irreducible`: its witness is the one `is_decomposition` never sees."""
+    monkeypatch.setattr(decompose, "special_gap_mask", lambda s: 1 << s.frobenius)
+    with pytest.raises(InternalAssertion, match="one special gap but is reducible"):
+        length_spectrum(from_generators([5, 11, 13, 19]))
+    code, out, err = run(capsys, "lengths", "5,11,13,19")
+    assert code == EXIT_INTERNAL and out == "" and "one special gap but is reducible" in err
+
+
 def test_atom_walk_leaving_the_oversemigroups_raises_and_exits_5(capsys, monkeypatch):
     """A walk node that does not contain S contradicts the seeded walk's
     theory; `_atom_masks` checks every node instead of filtering it out."""

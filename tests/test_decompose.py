@@ -1,12 +1,14 @@
 """Oversemigroups, decomposition checking, length spectra, and sweeps."""
 
+import gc
+
 import pytest
 
-from nsg import (Budget, BudgetExceeded, INVALID, N, VALID_IRREDUNDANT,
-                 VALID_REDUNDANT, check_interval, check_msbound, from_gaps,
-                 from_generators, irreducible_oversemigroups,
+from nsg import (Budget, BudgetExceeded, INVALID, N, REDUCIBLE, VALID_IRREDUNDANT,
+                 VALID_REDUNDANT, IrreducibilityReport, check_interval, check_msbound,
+                 classify, from_gaps, from_generators, irreducible_oversemigroups,
                  irreducibles_with_frobenius, is_decomposition, kunz_semigroups,
-                 length_spectrum, m_set, minimum_cover, miss_set,
+                 length_spectrum, m_set, minimum_cover, miss_set, pseudo_frobenius,
                  semigroups_up_to_genus, special_gaps)
 from nsg.core import _bits, _mask_of
 from nsg.decompose import _agree_mask, oversemigroups
@@ -140,6 +142,26 @@ def test_check_interval_small():
     assert rep.counterexamples == []
     assert sum(rep.census.values()) == 37
     assert (3,) not in rep.census  # no multiplicity-4 spectrum is exactly {3}
+
+
+def test_sweep_keeps_no_classification_per_semigroup():
+    """A sweep reads SG(S) from the special-gap mask kernel and classifies
+    only the S it finds irreducible: it keeps no reducibility witness, and
+    puts nothing in the `special_gaps` or `pseudo_frobenius` caches."""
+    for cache in (classify, special_gaps, pseudo_frobenius):
+        cache.cache_clear()  # so the sweep's own semigroups are counted
+
+    def reducible_reports():
+        gc.collect()
+        return sum(isinstance(o, IrreducibilityReport) and o.kind == REDUCIBLE
+                   for o in gc.get_objects())
+
+    before = reducible_reports()
+    rep = check_interval(7, 20, Budget())
+    assert rep.total == 436
+    assert reducible_reports() == before
+    assert special_gaps.cache_info().currsize == 0
+    assert pseudo_frobenius.cache_info().currsize == 0
 
 
 def _assert_threads_match_serial(check, m, f_max):

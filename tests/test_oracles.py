@@ -22,6 +22,7 @@ from nsg import (Budget, NotClosed, NotElement, NotSpecialGap, add_special_gap,
                  PSEUDOSYMMETRIC, REDUCIBLE, SYMMETRIC, VALID_IRREDUNDANT,
                  VALID_REDUNDANT)
 from nsg import decompose
+from nsg.classify import special_gap_mask
 from nsg.core import NumericalSemigroup, _bits, _closure_witness, _from_gap_mask, _mask_of
 from nsg.decompose import (_atom_masks, _cover_criteria,
                            _irreducible_gapmasks_with_frobenius, oversemigroups)
@@ -792,10 +793,13 @@ def test_irreducible_tables_vs_full_closure_swap_tree():
 
 
 def test_classification_vs_mirror_property():
+    """Also the exit rule of `length_spectrum`: S is irreducible exactly
+    when SG(S) = {F(S)}."""
     for s in semigroups_up_to_genus(9):
         if s is N:
             continue
         assert classify(s).kind == bf_kind(s.gap_set), s
+        assert (special_gap_mask(s).bit_count() == 1) == (classify(s).kind != REDUCIBLE), s
 
 
 def test_oversemigroups_vs_closed_subsets():
