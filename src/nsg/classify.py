@@ -15,11 +15,10 @@ raises when a reducible S has fewer than two special gaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import core
-from .core import N, NumericalSemigroup
+from .core import N, NumericalSemigroup, _Record
 from .errors import FullSemigroup, InternalAssertion, NotSpecialGap
 
 SYMMETRIC = "symmetric"
@@ -27,14 +26,20 @@ PSEUDOSYMMETRIC = "pseudosymmetric"
 REDUCIBLE = "reducible"
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
+class IrreducibilityReport(_Record):
     kind: str
     frobenius: int
     genus: int
     # pseudosymmetric: the index j with 2 a_j = max(Ap) + m.
     # reducible: a pair of strictly larger oversemigroups intersecting to S.
-    witness: object = None
+    witness: object
+
+    def __init__(self, kind, frobenius, genus, witness=None):
+        d = self.__dict__
+        d["kind"] = kind
+        d["frobenius"] = frobenius
+        d["genus"] = genus
+        d["witness"] = witness
 
 
 @lru_cache(maxsize=None)

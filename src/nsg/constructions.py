@@ -9,11 +9,9 @@ bug in the transcription, never a data error, hence InternalAssertion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import core
 from .classify import PSEUDOSYMMETRIC, SYMMETRIC, classify, special_gaps
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _Record
 from .decompose import (VALID_IRREDUNDANT, Decomposition, irreducible_oversemigroups,
                         is_decomposition, m_set)
 from .errors import InternalAssertion, NotApplicable, SearchFailed, WrongMultiplicity
@@ -44,8 +42,7 @@ def m4_cover(s: NumericalSemigroup) -> NumericalSemigroup:
     return t
 
 
-@dataclass(frozen=True)
-class M6CoverPair:
+class M6CoverPair(_Record):
     """The two controlled irreducible oversemigroups of a multiplicity-6
     semigroup: 2, 5 agree on T and 1, 4 agree on T_prime."""
 
@@ -53,6 +50,13 @@ class M6CoverPair:
     T_prime: NumericalSemigroup
     sg_count: int
     choices: dict  # which construction case and branch fired, per semigroup
+
+    def __init__(self, T, T_prime, sg_count, choices):
+        d = self.__dict__
+        d["T"] = T
+        d["T_prime"] = T_prime
+        d["sg_count"] = sg_count
+        d["choices"] = choices
 
 
 def _m6_build(s: NumericalSemigroup, swap: bool, prefer_alt: bool):

@@ -10,11 +10,13 @@ vector by shortest paths mod m.  A semigroup's gap mask is written from
 its residue runs; other masks go through one linear bitmask builder.  There
 is one closure kernel and one Apery kernel, `_apery_of`, which reads
 Ap(S; n) for any element n off a single shift of the element mask.
+
+The package's value types derive from `_Record`, a plain class: importing
+`nsg` generates no code (see `_Record`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, count, repeat
@@ -27,38 +29,86 @@ from .errors import LimitExceeded, NotClosed, NotCofinite, NotElement
 VALUE_CAP = 1 << 40
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class _Record:
+    """Immutable value record: equality, hash and repr over the fields, in
+    the order of the class annotations.
+
+    A plain class rather than a frozen dataclass, which builds its methods
+    with `exec` when the class is defined (about 0.5 ms per class, Python
+    3.11) and needs `dataclasses` and `inspect` imported.  Each record
+    writes its own `__init__` straight into `self.__dict__`: records are
+    built in the hot loops, where a generic constructor loop costs more
+    than the work it wraps.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)  # the class's own annotations
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class NumericalSemigroup(_Record):
     """A numerical semigroup, canonically (multiplicity, Apery vector).
 
     m = 1 with an empty Apery vector encodes the full set of non-negative
     integers; it is a legal value so that degenerate intersections and
-    oversemigroup chains never crash.
+    oversemigroup chains never crash.  Any iterable is accepted for the
+    Apery vector; it is stored as a tuple.
     """
 
     m: int
     apery: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m, apery):
+        apery = tuple(apery)
+        if m < 1:
             raise ValueError("multiplicity must be positive")
-        if len(self.apery) != self.m - 1:
+        if len(apery) != m - 1:
             raise ValueError("Apery vector must have length m - 1")
-        for i, a in enumerate(self.apery, start=1):
-            if a % self.m != i:
-                raise ValueError(f"apery[{i}] = {a} is not congruent to {i} mod {self.m}")
-            if a < self.m + i:
-                raise ValueError(f"apery[{i}] = {a} makes {self.m} not the multiplicity")
+        for i, a in enumerate(apery, start=1):
+            if a % m != i:
+                raise ValueError(f"apery[{i}] = {a} is not congruent to {i} mod {m}")
+            if a < m + i:
+                raise ValueError(f"apery[{i}] = {a} makes {m} not the multiplicity")
             if a > VALUE_CAP:
                 raise LimitExceeded(f"Apery value {a} above cap 2**40")
+        d = self.__dict__
+        d["m"] = m
+        d["apery"] = apery
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.m == other.m and self.apery == other.apery
+        return NotImplemented
 
     @cached_property
     def _hash(self) -> int:
         return hash((self.m, self.apery))
 
     def __hash__(self):
-        """The dataclass hash of (m, apery), computed once: the caches keyed
-        on semigroups look it up on every call."""
+        """The hash of (m, apery), computed once: the caches keyed on
+        semigroups look it up on every call."""
         return self._hash
 
     def validate(self):
@@ -201,19 +251,21 @@ class NumericalSemigroup:
         return f"<{gens}>"
 
 
-@dataclass(frozen=True)
-class AperySet:
+class AperySet(_Record):
     """Ap(S; n): the n smallest elements of S, one per residue class mod n."""
 
     n: int
     elems: tuple[int, ...]  # elems[i] is the least element congruent to i mod n
 
-    def __post_init__(self):
-        if len(self.elems) != self.n or self.elems[0] != 0:
+    def __init__(self, n, elems):
+        if len(elems) != n or elems[0] != 0:
             raise ValueError("Apery set must list one minimum per residue, starting at 0")
-        for i, w in enumerate(self.elems):
-            if w % self.n != i:
-                raise ValueError(f"Apery element {w} not congruent to {i} mod {self.n}")
+        for i, w in enumerate(elems):
+            if w % n != i:
+                raise ValueError(f"Apery element {w} not congruent to {i} mod {n}")
+        d = self.__dict__
+        d["n"] = n
+        d["elems"] = elems
 
 
 #: The full semigroup of non-negative integers.

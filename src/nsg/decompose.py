@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, filterfalse, islice, repeat
 from operator import add, and_, or_, sub
 
 from . import core
 from .classify import is_irreducible, special_gap_mask, special_gaps
-from .core import N, NumericalSemigroup, _bits, _mask_of
+from .core import N, NumericalSemigroup, _bits, _mask_of, _Record
 from .errors import BudgetExceeded, InternalAssertion, NotOversemigroup
 
 DEFAULT_BUDGET = 5_000_000
@@ -305,9 +304,11 @@ def irreducible_oversemigroups(s: NumericalSemigroup, budget=None) -> list[Numer
 # decomposition checking (the oracle)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     components: tuple[NumericalSemigroup, ...]
+
+    def __init__(self, components):
+        self.__dict__["components"] = components
 
     @property
     def length(self) -> int:
@@ -319,11 +320,16 @@ VALID_REDUNDANT = "valid_redundant"
 INVALID = "invalid"
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
+class DecompositionCheck(_Record):
     verdict: str
     reason: str | None
     intersection: NumericalSemigroup
+
+    def __init__(self, verdict, reason, intersection):
+        d = self.__dict__
+        d["verdict"] = verdict
+        d["reason"] = reason
+        d["intersection"] = intersection
 
 
 def _cover_criteria(masks: list[int], shared: int, sg_mask: int) -> tuple[bool, bool]:
@@ -391,10 +397,17 @@ def is_decomposition(s: NumericalSemigroup, components) -> DecompositionCheck:
 # length spectra via irredundant covers of the special-gap set
 
 
-@dataclass(frozen=True)
-class LengthSpectrum:
+class LengthSpectrum(_Record):
     lengths: tuple[int, ...]
-    witnesses: dict[int, Decomposition] = field(compare=False)
+    witnesses: dict[int, Decomposition]
+
+    def __init__(self, lengths, witnesses):
+        d = self.__dict__
+        d["lengths"] = lengths
+        d["witnesses"] = witnesses
+
+    def _key(self) -> tuple:
+        return (self.lengths,)  # a witness is one cover among many: not compared
 
     def is_interval(self) -> bool:
         lo, hi = self.lengths[0], self.lengths[-1]
@@ -588,13 +601,20 @@ def _sweep(fn, m: int, f_max: int, budget, threads: int) -> list[tuple]:
     return rows
 
 
-@dataclass
-class IntervalReport:
+class IntervalReport(_Record):
     m: int
     f_max: int
     total: int
     census: dict[tuple[int, ...], int]
     counterexamples: list[tuple[NumericalSemigroup, tuple[int, ...]]]
+
+    def __init__(self, m, f_max, total, census, counterexamples):
+        d = self.__dict__
+        d["m"] = m
+        d["f_max"] = f_max
+        d["total"] = total
+        d["census"] = census
+        d["counterexamples"] = counterexamples
 
 
 def _interval_row(s: NumericalSemigroup, b: Budget):
@@ -612,14 +632,21 @@ def check_interval(m: int, f_max: int, budget=None, threads: int = 1) -> Interva
     return IntervalReport(m, f_max, len(rows), dict(sorted(census.items())), bad)
 
 
-@dataclass
-class MsBoundReport:
+class MsBoundReport(_Record):
     m: int
     f_max: int
     checked: int
     max_mset: int
     #: (apery of S, apery-or-gaps of T, #mset) for any violation; expected empty
     violations: list[tuple]
+
+    def __init__(self, m, f_max, checked, max_mset, violations):
+        d = self.__dict__
+        d["m"] = m
+        d["f_max"] = f_max
+        d["checked"] = checked
+        d["max_mset"] = max_mset
+        d["violations"] = violations
 
 
 def _msbound_row(s: NumericalSemigroup, b: Budget):

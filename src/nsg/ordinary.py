@@ -13,13 +13,12 @@ sweep out an entire integer interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
 from . import core
 from .classify import PSEUDOSYMMETRIC, SYMMETRIC, classify, special_gap_mask
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _Record
 from .decompose import (VALID_IRREDUNDANT, Decomposition, _atom_masks, _budget,
                         is_decomposition, minimum_cover)
 from .errors import InternalAssertion, OutOfRange, UndefinedValue
@@ -49,13 +48,18 @@ def T_irr(f: int) -> NumericalSemigroup:
     return t
 
 
-@dataclass(frozen=True)
-class TwoAdicForm:
+class TwoAdicForm(_Record):
     """f = 2**j * (2k + 1); the unique split into 2-part and odd part."""
 
     f: int
     j: int
     k: int
+
+    def __init__(self, f, j, k):
+        d = self.__dict__
+        d["f"] = f
+        d["j"] = j
+        d["k"] = k
 
 
 def two_adic(f: int) -> TwoAdicForm:
@@ -107,14 +111,20 @@ def n_min(m: int) -> int:
     return ((m - 1) // 3).bit_length() + 1
 
 
-@dataclass(frozen=True)
-class DFamily:
+class DFamily(_Record):
     """One member of the graded decomposition family of H(m)."""
 
     m: int
     ell: int
     components: tuple[NumericalSemigroup, ...]
     tags: tuple[tuple[str, int], ...]  # ("I", F) or ("T", g), aligned with components
+
+    def __init__(self, m, ell, components, tags):
+        d = self.__dict__
+        d["m"] = m
+        d["ell"] = ell
+        d["components"] = components
+        d["tags"] = tags
 
     @property
     def length(self) -> int:
@@ -134,15 +144,15 @@ def D(m: int, ell: int, budget=None) -> DFamily:
     special gaps, pruned components (one per remaining 2-adic valuation
     class) for the rest.
 
-    Each call ticks m - 1, the genus of H(m), on the budget (a fresh default
-    one for None) before it builds, then builds the member and verifies it
-    irredundant.  Nothing is cached: a member lives as long as its caller
-    keeps it."""
-    _budget(budget).tick(m - 1)
+    Each call checks m and ell, ticks m - 1, the genus of H(m), on the
+    budget (a fresh default one for None) before it builds, then builds the
+    member and verifies it irredundant; refused input ticks nothing.
+    Nothing is cached: a member lives as long as its caller keeps it."""
     if m < 4:
         raise OutOfRange("family defined for multiplicity >= 4")
     if not 0 <= ell <= m // 2:  # H(m) has m // 2 special gaps
         raise OutOfRange(f"ell must lie in [0, {m // 2}]")
+    _budget(budget).tick(m - 1)
     # tail gaps are [lo, top]; per j, the largest odd multiple of 2^j <= top
     top, lo = m - 1 - ell, (m + 1) // 2
     comps: list[NumericalSemigroup] = []

@@ -209,7 +209,7 @@ def test_repr_lists_minimal_generators():
 
 def test_hashable_and_equal_by_coordinates():
     """Equal semigroups built from gaps and from generators are equal and
-    hash equal, to the dataclass hash of (m, apery), before and after the
+    hash equal, to the hash of (m, apery), before and after the
     hash is cached, so they share one entry of the caches keyed on them."""
     a = from_generators([3, 5, 7])
     b = from_gaps([1, 2, 4])

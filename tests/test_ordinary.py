@@ -88,6 +88,18 @@ def test_D_family_verified_members():
         D(28, 15)
 
 
+@pytest.mark.parametrize("m, ell", [(-5, 0), (2, 0), (10, 9), (10, -1)])
+def test_D_refused_input_ticks_nothing(m, ell):
+    """m and ell are checked before the genus of H(m) is ticked, so a refused
+    request leaves the budget as it was (a negative m used to give nodes back)."""
+    budget = Budget()
+    with pytest.raises(OutOfRange):
+        D(m, ell, budget)
+    assert budget.used == 0
+    D(10, 5, budget)
+    assert budget.used == 9
+
+
 def test_d_family_lengths_interval():
     assert d_family_lengths(7) == (3,)
     assert d_family_lengths(8) == (3, 4)
