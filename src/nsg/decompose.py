@@ -32,9 +32,9 @@ walks of H(m).  The cover search, the agreement-set sweep and
 atom masks; semigroups are built only for witnesses, violations and
 `irreducible_oversemigroups`, whose callers receive them; the atoms a
 witness picks from are built once per process (`_ATOMS`).  Both sweeps
-stride one ordered stream across the workers of `_sweep`, whose totals
-count against one budget.  All enumerations are metered by a node budget
-so runaway searches fail loudly and reproducibly.
+walk the Kunz stream once, in `_sweep`, and deal its Apery vectors out to
+the workers, whose totals count against one budget.  All enumerations are
+metered by a node budget so runaway searches fail loudly and reproducibly.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import reduce
-from itertools import accumulate, filterfalse, islice, repeat
+from itertools import accumulate, filterfalse, repeat
 from operator import add, and_, or_, sub
 
 from . import core
@@ -227,8 +227,6 @@ def m_set(s: NumericalSemigroup, t: NumericalSemigroup) -> frozenset[int]:
     """Coordinates i in 1..m-1 with identical Apery minima in s and t (mod m(s))."""
     if not s.is_subset(t):
         raise NotOversemigroup(f"{t} does not contain {s}")
-    if not t.contains(s.m):
-        raise NotOversemigroup(f"{s.m} is not an element of {t}")
     bs = t.apery_set(s.m).elems
     return frozenset(i for i in range(1, s.m) if bs[i] == s.apery[i - 1])
 
@@ -524,8 +522,8 @@ def kunz_semigroups(m: int, f_max: int):
     computed once, from an explicit stack of ranges, and `a` grows with
     the depth: no recursion.  F >= m - 1, so for m > f_max + 1 the stream
     is empty and nothing is walked.  The order is lexicographic in
-    (a_1, ..., a_{m-1}), so it depends on (m, f_max) alone and sweeps can
-    stride it.
+    (a_1, ..., a_{m-1}), so it depends on (m, f_max) alone, and so does
+    each worker's share of a sweep.
     """
     if m < 2:
         raise ValueError("multiplicity must be at least 2")
@@ -552,19 +550,15 @@ def kunz_semigroups(m: int, f_max: int):
 
 
 def _shard(args):
-    """Rows (apery, fn(s, budget)) for stream positions w, w + n, ..., and
-    the nodes used.  Each semigroup taken ticks 1 + g*m // 64 (g its genus)
-    before its row: reaching it costs up to about m*m/2 comparisons, and a
-    row does O(g*m) work (Apery sums, shifts of F-bit masks) before it
-    ticks anything.  A worker ticks only its own semigroups, so the
-    workers' totals add up to the serial count."""
-    fn, m, f_max, w, n, limit = args
+    """Rows (apery, fn(s, budget)) for the given Apery vectors of
+    multiplicity m, and the nodes the rows used.  The shard's Budget starts
+    at `used`, the request's count after the walk, so a shard that runs out
+    raises the request's own error."""
+    fn, m, aperys, used, limit = args
     b = Budget(limit)
-    rows = []
-    for s in islice(kunz_semigroups(m, f_max), w, None, n):
-        b.tick(1 + (s.genus * m >> 6))
-        rows.append((s.apery, fn(s, b)))
-    return rows, b.used
+    b.used = used
+    rows = [(ap, fn(NumericalSemigroup(m, ap), b)) for ap in aperys]
+    return rows, b.used - used
 
 
 def _sweep(fn, m: int, f_max: int, budget, threads: int) -> list[tuple]:
@@ -572,22 +566,27 @@ def _sweep(fn, m: int, f_max: int, budget, threads: int) -> list[tuple]:
 
     Every such semigroup has genus at least m - 1, and F >= m - 1, so when
     f_max >= m - 1 >= 1 the weight of one semigroup, 1 + (m - 1)*m // 64, is
-    reserved first: a sweep that cannot pay for one row stops before it
-    walks.  For a larger m the stream is empty and nothing is ticked.
-    Worker w of N = min(threads, CPUs) takes positions w, w + N, ... of
-    `kunz_semigroups(m, f_max)`, and the rows come back worker by worker
-    (callers sort what they report); N = 1 runs in process, with no pool.
-    Each worker gets a fresh Budget with the full limit, and the nodes each
-    used are then ticked into `budget` in worker order.  So a serial sweep
-    stops at the limit and a parallel one after at most N x limit nodes,
-    both with the same error, and a completed sweep uses the same nodes
-    serial or parallel.
+    reserved first: a sweep that cannot pay for one semigroup stops before
+    it walks.  For a larger m the stream is empty and nothing is ticked.
+    `kunz_semigroups(m, f_max)` is walked once, here, and each semigroup
+    ticks 1 + g*m // 64 (g its genus) as the walk reaches it: reaching it
+    costs up to about m*m/2 comparisons, and a row does O(g*m) work (Apery
+    sums, shifts of F-bit masks) before it ticks anything.  Worker w of
+    N = min(threads, CPUs) takes the Apery vectors at walk positions w,
+    w + N, ..., and the rows come back worker by worker (callers sort what
+    they report); N = 1 runs in process, with no pool.  The nodes each
+    worker's rows used are ticked into `budget` in worker order, so a
+    sweep uses the same nodes, and stops with the same error, for every N.
     """
     b = _budget(budget)
     if 2 <= m <= f_max + 1:  # a smaller m is refused by the stream itself
         b.reserve(1 + ((m - 1) * m >> 6))
+    aperys = []
+    for s in kunz_semigroups(m, f_max):
+        b.tick(1 + (s.genus * m >> 6))
+        aperys.append(s.apery)
     n = max(1, min(threads, os.cpu_count() or 1))
-    jobs = [(fn, m, f_max, w, n, b.limit) for w in range(n)]
+    jobs = [(fn, m, aperys[w::n], b.used, b.limit) for w in range(n)]
     if n > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n) as ex:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsg import (cli, core, decompose, from_generators, is_decomposition, length_spectrum,
-                 ordinary)
+                 ordinary, reference_data)
 from nsg.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE,
                      CliParseError, parse_semigroup)
 from nsg.core import VALUE_CAP, NumericalSemigroup
@@ -423,6 +423,61 @@ def test_verify_sweep_selector(capsys):
     assert code == EXIT_OK and doc["result"]["mismatches"] == []
 
 
+_H28 = reference_data.H28_DECOMPOSITIONS
+
+
+@pytest.mark.parametrize("sel, table, value, mismatches", [
+    ("example-3.6", "M5_SPECTRA", [((5, 6, 7), (3,))], ["(5, 6, 7): expected (3,), got (2,)"]),
+    ("example-4.2", "H28_DECOMPOSITIONS", [(_H28[0][0], 6), *_H28[1:]],
+     ["('I:16', 'I:24', 'I:20', 'I:26', 'I:27'): valid_irredundant"]),
+    # each line still verifies, but D(28, 0) and D(28, 1) no longer match their lines
+    ("example-4.2", "H28_DECOMPOSITIONS", [_H28[1], _H28[0], *_H28[2:]],
+     ["D(28,0) differs from displayed line 1", "D(28,1) differs from displayed line 2"]),
+    ("remark-4.4", "SHORT_ORDINARY_DECOMPOSITIONS",
+     [("H:28", ("I:27", "I:26", "7,11,12,17"))], ["H:28: invalid"]),
+])
+def test_verify_reports_a_reference_mismatch(capsys, monkeypatch, sel, table, value, mismatches):
+    """A reference line the computation does not reproduce is a finding:
+    exit 3, one failed check per line, and each named in `mismatches`."""
+    monkeypatch.setattr(reference_data, table, value)
+    code, doc, _ = run_json(capsys, "verify", sel)
+    assert code == EXIT_MISMATCH
+    assert doc["result"]["failed"] == len(mismatches)
+    assert doc["result"]["mismatches"] == mismatches
+
+
+def test_sweeps_report_a_non_interval_spectrum(capsys, monkeypatch):
+    """`verify sweep:` and `check --interval` exit 3 on a non-interval
+    spectrum and name it; here the row of H(4) is made to report {2, 4}."""
+    row = decompose._interval_row
+
+    def one_gap(s, b):
+        lengths, ok = row(s, b)
+        return ((2, 4), False) if s.apery == (5, 6, 7) else (lengths, ok)
+
+    monkeypatch.setattr(decompose, "_interval_row", one_gap)
+    code, doc, _ = run_json(capsys, "verify", "sweep:4:12")
+    assert code == EXIT_MISMATCH and doc["result"]["failed"] == 1
+    assert doc["result"]["mismatches"] == ["sweep found 1 non-interval spectra"]
+    code, doc, _ = run_json(capsys, "check", "4", "12", "--interval")
+    assert code == EXIT_MISMATCH
+    assert doc["result"]["counterexamples"] == [{"apery": [5, 6, 7], "lengths": [2, 4]}]
+    assert doc["result"]["spectra_census"]["2,4"] == 1
+
+
+def test_msbound_reports_violations(capsys, monkeypatch):
+    """With every coordinate counted as agreeing, #mset(T) is the genus of
+    T, and each atom of genus above m/2 is reported as [apery of S,
+    apery-or-gaps of T, size]: exit 3 with 21 violations on `check 4 9`."""
+    monkeypatch.setattr(decompose, "_agree_mask", lambda s: -1)
+    code, doc, _ = run_json(capsys, "check", "4", "9", "--msbound")
+    assert code == EXIT_MISMATCH
+    violations = doc["result"]["violations"]
+    assert len(violations) == 21 and violations == sorted(violations)
+    assert violations[0] == [[9, 6, 7], [1, 2, 5], 3]
+    assert all(len(v) == 3 and 2 * v[2] > 4 for v in violations)
+
+
 def test_verify_unknown_selector(capsys):
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == EXIT_USAGE
@@ -667,7 +722,8 @@ def test_large_multiplicity_sweeps_answer(capsys, monkeypatch, argv, key, count,
 def test_sweep_reserves_its_first_semigroup(capsys, monkeypatch):
     """`check 3000 3100` reserves 1 + 2999*3000 // 64 = 140,579 nodes, the
     weight of its least semigroup, before it walks: under 100,000 it stops
-    there, and under 200,000 after one row."""
+    there, and under 200,000 in the walk, at its second semigroup, before
+    any row."""
     monkeypatch.setattr(decompose, "kunz_semigroups", _built)
     code, out, err = run(capsys, "--budget", "100000", "check", "3000", "3100", "--msbound")
     assert code == EXIT_BUDGET and out == ""
@@ -684,7 +740,7 @@ def test_sweep_reserves_its_first_semigroup(capsys, monkeypatch):
     code, out, err = run(capsys, "--budget", "200000", "check", "3000", "3100", "--msbound")
     assert code == EXIT_BUDGET and out == ""
     assert err == "error: enumeration budget exceeded: 200001 > 200000 nodes\n"
-    assert rows == [tuple(range(3001, 6000))]  # H(3000)
+    assert rows == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -234,6 +234,28 @@ def test_strided_sweep_matches_serial(fake_pool, monkeypatch, cpus):
     assert fake_pool == [cpus, cpus]
 
 
+def test_parallel_sweep_walks_the_stream_once(fake_pool, monkeypatch):
+    """The parent walks the Kunz stream once and deals the Apery vectors out;
+    no worker walks it again."""
+    import os
+
+    from nsg import decompose
+
+    calls = []
+    stream = decompose.kunz_semigroups
+
+    def counted(m, f_max):
+        calls.append((m, f_max))
+        return stream(m, f_max)
+
+    serial = check_interval(5, 14)
+    monkeypatch.setattr(decompose, "kunz_semigroups", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert check_interval(5, 14, threads=3) == serial
+    assert calls == [(5, 14)]
+    assert fake_pool == [3]
+
+
 def test_serial_sweep_stops_at_the_budget(monkeypatch):
     """A serial sweep is one shard under the request's limit, so it stops
     at the limit and does not finish the sweep first (872 semigroups)."""
